@@ -97,16 +97,16 @@ bench-fold-smoke:
 # bench-throughput-smoke is the shared-work engine's PR gate, under the
 # race detector: the throughput lane (cold folds vs warm-cache
 # resubmissions through the in-process runner at client concurrency
-# 1/8/64) with a small job count, rewriting BENCH_throughput.json. It
-# proves the cache, the in-flight dedup, and the pooled arenas stay
-# race-clean under concurrent submission — and the lane's own warm
-# speedup number makes a broken cache obvious. The committed
-# BENCH_throughput.json baseline is refreshed intentionally (no -race,
-# full job count) with: make bench
+# 1/8/64) with a small job count, written to a temporary file. It
+# proves the cache and the in-flight dedup stay race-clean under
+# concurrent submission — and the lane's own warm speedup number makes
+# a broken cache obvious. The committed BENCH_throughput.json baseline
+# is refreshed intentionally (no -race, full job count) with: make bench
 bench-throughput-smoke:
+	tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run -race ./cmd/bench -reps 1 -size 400 -out - -pipeout "" -bddout "" \
-		-serveout "" -tputout BENCH_throughput.json -tputjobs 8 > /dev/null
-	@grep -o '"warm_speedup": [0-9.]*' BENCH_throughput.json
+		-serveout "" -tputout "$$tmp" -tputjobs 8 > /dev/null && \
+	grep -o '"warm_speedup": [0-9.]*' "$$tmp"
 
 # bench-compare guards the fold service's SLOs: it measures a fresh
 # serve lane (BENCH_serve.fresh.json) and diffs it against the

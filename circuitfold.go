@@ -145,8 +145,8 @@ func NewTraceBuffer() *TraceBuffer { return obs.NewTraceBuffer() }
 // NewJSONLSink returns a sink streaming events to w as JSON Lines.
 func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
 
-// NewMetrics returns an empty metrics registry. Metrics.Publish
-// exposes it through expvar for the net/http debug endpoint.
+// NewMetrics returns an empty metrics registry. Metrics.WriteOpenMetrics
+// renders it in the OpenMetrics text format that foldd serves at /metrics.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // WriteChromeTrace writes events as a Chrome trace JSON document that
@@ -236,21 +236,7 @@ type Options struct {
 	// every stage; Hybrid and Simple ignore it (their callers
 	// checkpoint the final result instead).
 	Checkpoint Checkpoint
-	// Pools, when non-nil, supplies reusable fold arenas (BDD managers,
-	// SAT solvers) that the engines check out per stage and return with
-	// a hard reset in between, so a long-lived caller folding many
-	// circuits skips the arena allocations. The folded circuit is
-	// bit-identical with and without pools. Share one bundle per
-	// worker goroutine for the hottest reuse; the pools themselves are
-	// safe for concurrent use. Ignored by Simple.
-	Pools *ArenaPools
 }
-
-// ArenaPools bundles the reusable fold arenas (see Options.Pools).
-type ArenaPools = core.Pools
-
-// NewArenaPools returns a fresh arena bundle for Options.Pools.
-func NewArenaPools() *ArenaPools { return core.NewPools() }
 
 // DefaultOptions returns the configuration the paper's experiments
 // favor: binary frame counter, input reordering, state minimization,
@@ -294,7 +280,6 @@ func Structural(g *Circuit, T int, opt Options) (r *Result, err error) {
 		Budget:     opt.budget(),
 		Obs:        opt.Observer,
 		Checkpoint: opt.Checkpoint,
-		Pools:      opt.Pools,
 	})
 	return finish(r, err, opt.Trace)
 }
@@ -311,7 +296,6 @@ func Functional(g *Circuit, T int, opt Options) (r *Result, err error) {
 	fo.Budget = opt.budget()
 	fo.Obs = opt.Observer
 	fo.Checkpoint = opt.Checkpoint
-	fo.Pools = opt.Pools
 	if opt.Workers > 0 {
 		fo.Workers = opt.Workers
 	}
@@ -341,7 +325,6 @@ func Hybrid(g *Circuit, T int, opt Options) (r *Result, err error) {
 	ho.Minimize = opt.Minimize
 	ho.Ctx = opt.Context
 	ho.Obs = opt.Observer
-	ho.Pools = opt.Pools
 	if opt.Workers > 0 {
 		ho.Workers = opt.Workers
 	}

@@ -18,10 +18,9 @@
 // and https://ui.perfetto.dev load directly. -traceonly skips the
 // sweep and pipeline measurements and only produces the trace.
 //
-// -http serves expvar (/debug/vars, including the fold engines' live
-// metric registry) and net/http/pprof (/debug/pprof, where the sweep
-// worker goroutines carry stage/shard labels) for live introspection;
-// the process stays up after the work finishes until interrupted.
+// -http serves net/http/pprof (/debug/pprof, where the sweep worker
+// goroutines carry stage/shard labels) for live profiling; the process
+// stays up after the work finishes until interrupted.
 //
 // Four sweep configurations run on the same random workload:
 //
@@ -145,18 +144,15 @@ func foldPipelines() []PipelineRun {
 // encoding) and structurally, both with a post-fold SAT sweep, so the
 // trace exercises every sub-stage span type: bdd.sift, tff.frame,
 // memin.iter/sat.solve, and sweep.round — and writes the combined
-// Chrome trace to path. The metrics registry is published through
-// expvar so a concurrent -http server exposes the live values. A fold
-// abort (budget, cancellation) still writes the partial trace.
+// Chrome trace to path. A fold abort (budget, cancellation) still
+// writes the partial trace.
 func traceFold(circuit string, T int, path string) error {
 	g, err := gen.Build(circuit)
 	if err != nil {
 		return err
 	}
 	buf := obs.NewTraceBuffer()
-	reg := obs.NewRegistry()
-	reg.Publish("circuitfold")
-	o := &obs.Observer{Tracer: obs.NewTracer(buf), Metrics: reg}
+	o := &obs.Observer{Tracer: obs.NewTracer(buf), Metrics: obs.NewRegistry()}
 
 	sweep := aig.DefaultSweepOptions()
 	fo := core.DefaultFunctionalOptions()
@@ -242,13 +238,13 @@ func main() {
 		circuit   = flag.String("circuit", "64-adder", "benchmark circuit to trace (-tracefile)")
 		frames    = flag.Int("frames", 16, "folding number for the traced fold (-tracefile)")
 		traceonly = flag.Bool("traceonly", false, "only produce the -tracefile trace, skip the measurements")
-		httpAddr  = flag.String("http", "", "serve expvar and pprof on this address (e.g. :6060)")
+		httpAddr  = flag.String("http", "", "serve pprof on this address (e.g. :6060)")
 	)
 	flag.Parse()
 
 	if *httpAddr != "" {
 		go func() {
-			fmt.Printf("serving expvar and pprof on http://%s/debug/\n", *httpAddr)
+			fmt.Printf("serving pprof on http://%s/debug/pprof/\n", *httpAddr)
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "bench: http:", err)
 			}

@@ -42,8 +42,8 @@ type ThroughputReport struct {
 // benchThroughput measures the runner's job throughput directly (no
 // HTTP — the serve lane covers that path). Cold rows give every job a
 // unique spec, so each one is a genuine fold; the folds pin Workers=1
-// so measured scaling comes from the runner's worker pool and arena
-// reuse, not from intra-fold parallelism. Warm rows resubmit one
+// so measured scaling comes from the runner's worker goroutines, not
+// from intra-fold parallelism. Warm rows resubmit one
 // identical spec, so after the priming fold every job is a result-cache
 // hit at submit.
 func benchThroughput(circuit string, T, workers, jobsPerRun int) (*ThroughputReport, error) {

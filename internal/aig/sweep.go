@@ -69,13 +69,6 @@ type SweepOptions struct {
 	// profiles attribute sweep and simulation work to the pipeline
 	// stage that triggered it.
 	Stage string
-	// Solvers, when non-nil, supplies the shard solvers and receives
-	// them back once the proving rounds end, so pooled sweeps reuse the
-	// solvers' per-variable arrays across jobs. Solvers are hard-reset
-	// between uses (sat.Solver.Reset); nil allocates per sweep. The
-	// pool is accessed from the shard worker goroutines and must stay
-	// usable concurrently (sat.Pool is).
-	Solvers *sat.Pool
 }
 
 // DefaultSweepOptions returns the settings used by the optimization flow.
@@ -352,7 +345,7 @@ func (g *Graph) SweepWithStats(opt SweepOptions) (*Graph, *SweepStats) {
 							pprof.Labels("stage", opt.Stage, "sweep.shard", strconv.Itoa(sh))))
 					}
 					if solvers[sh] == nil {
-						solvers[sh] = opt.Solvers.Get()
+						solvers[sh] = sat.New()
 						solvers[sh].SetBudget(opt.ConflictBudget)
 						if opt.Interrupt != nil {
 							solvers[sh].SetInterrupt(func() bool { return opt.Interrupt() != nil })
@@ -459,9 +452,6 @@ func (g *Graph) SweepWithStats(opt SweepOptions) (*Graph, *SweepStats) {
 	for _, s := range solvers {
 		if s != nil {
 			st.Solver.Add(s.Stats())
-			// Counterexamples were copied out of the models round by
-			// round, so nothing references the solver anymore.
-			opt.Solvers.Put(s)
 		}
 	}
 

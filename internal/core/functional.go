@@ -47,12 +47,6 @@ type FunctionalOptions struct {
 	// pipeline with these settings on the folded circuit's combinational
 	// core before returning.
 	PostOptimize *aig.SweepOptions
-	// Pools, when non-nil, supplies reusable fold arenas: the schedule
-	// and TFF stages draw their BDD managers from Pools.BDD, and the
-	// minimize and sweep stages draw SAT solvers from Pools.SAT (unless
-	// their own options already name a pool). Arenas are hard-reset
-	// between uses, so a pooled fold is bit-identical to a cold one.
-	Pools *Pools
 	// Obs, when non-nil, receives span traces and metrics for the whole
 	// fold (see internal/obs). Nil disables observability at zero cost.
 	Obs *obs.Observer
@@ -100,7 +94,7 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 	run := pipeline.NewRunObserved(opt.Ctx, opt.Budget, opt.Obs)
 	run.SetCheckpoint(opt.Checkpoint)
 	if T == 1 {
-		return identityFold(g, run, "functional", pooledSweepOptions(opt.PostOptimize, opt.Pools))
+		return identityFold(g, run, "functional", opt.PostOptimize)
 	}
 
 	var (
@@ -115,7 +109,7 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 			ss.AndsIn = g.NumAnds()
 			ss.AndsOut = g.NumAnds() // scheduling never rewrites the graph
 			var err error
-			sched, err = PinScheduleRun(g, T, ScheduleOptions{Reorder: opt.Reorder, Pool: opt.Pools.bddPool()}, run)
+			sched, err = PinScheduleRun(g, T, ScheduleOptions{Reorder: opt.Reorder}, run)
 			return err
 		},
 			Snapshot: func() ([]byte, error) { return EncodeSchedule(sched) },
@@ -137,7 +131,7 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 			ss.AndsIn = g.NumAnds()
 			ss.StatesIn = 1
 			var err error
-			machine, states, err = TimeFrameFoldPooled(g, sched, opt.Workers, run, opt.Pools.bddPool())
+			machine, states, err = TimeFrameFold(g, sched, opt.Workers, run)
 			ss.StatesOut = states
 			return err
 		},
@@ -167,9 +161,6 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 			}
 			if mo.Metrics == nil {
 				mo.Metrics = run.Metrics()
-			}
-			if mo.Solvers == nil {
-				mo.Solvers = opt.Pools.satPool()
 			}
 			if rem, ok := run.Remaining(); ok && (mo.Timeout <= 0 || rem < mo.Timeout) {
 				mo.Timeout = rem
@@ -232,7 +223,7 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 		},
 	})
 	if opt.PostOptimize != nil {
-		stages = append(stages, sweepStage(&res, pooledSweepOptions(opt.PostOptimize, opt.Pools), run))
+		stages = append(stages, sweepStage(&res, opt.PostOptimize, run))
 	}
 	rep, err := pipeline.Execute(run, "functional", stages...)
 	if err != nil {
@@ -271,17 +262,6 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 // with pipeline.ErrCanceled / pipeline.ErrBudgetExceeded. A nil run
 // applies the default caps with no deadline.
 func TimeFrameFold(g *aig.Graph, sched *Schedule, workers int, run *pipeline.Run) (*fsm.Machine, int, error) {
-	return TimeFrameFoldPooled(g, sched, workers, run, nil)
-}
-
-// TimeFrameFoldPooled is TimeFrameFold drawing its folding manager
-// (and returning it, plus any worker clones) from the given arena pool;
-// a nil pool allocates fresh, making the two entry points identical.
-// The machine's condition manager is always freshly allocated — the
-// returned Machine owns it for its whole lifetime — so only the
-// fold-internal arenas recycle. Pooled and cold folds are bit-identical
-// (see bdd.Manager.Reset).
-func TimeFrameFoldPooled(g *aig.Graph, sched *Schedule, workers int, run *pipeline.Run, pool *bdd.Pool) (*fsm.Machine, int, error) {
 	T, m := sched.T, sched.M
 	n := g.NumPIs()
 	maxStates := run.StateLimit(20000)
@@ -292,22 +272,7 @@ func TimeFrameFoldPooled(g *aig.Graph, sched *Schedule, workers int, run *pipeli
 	// single apply call that blows up between polls unwinds with
 	// bdd.ErrNodeLimit instead of growing without bound. The factor
 	// leaves headroom for reordering's transient growth.
-	fmgr := pool.Get(T * m)
-	// Every fold-internal arena — the folding manager and any worker
-	// clones — returns to the pool on every exit path, including panic
-	// unwinds out of the node cap (Reset at the next Get heals any
-	// mid-operation state). Nothing the fold returns references these
-	// arenas: conditions are translated into the machine's own manager.
-	var wmgrs []*bdd.Manager
-	defer func() {
-		if wmgrs == nil {
-			pool.Put(fmgr)
-			return
-		}
-		for _, wm := range wmgrs {
-			pool.Put(wm)
-		}
-	}()
+	fmgr := bdd.New(T * m)
 	// The scheduling BDDs predict the folding manager's size: presizing
 	// skips the unique-table growth rehashes (the whole-circuit build
 	// lands a bit above the per-frame peak, hence the headroom factor).
@@ -382,7 +347,7 @@ func TimeFrameFoldPooled(g *aig.Graph, sched *Schedule, workers int, run *pipeli
 	if workers < 1 {
 		workers = 1
 	}
-	wmgrs = make([]*bdd.Manager, workers)
+	wmgrs := make([]*bdd.Manager, workers)
 	wmgrs[0] = fmgr
 	cloned := workers == 1
 	memos := make([]*workerScratch, workers)

@@ -53,10 +53,6 @@ type HybridOptions struct {
 	// Obs, when non-nil, receives span traces and metrics for the whole
 	// fold (see internal/obs). Nil disables observability at zero cost.
 	Obs *obs.Observer
-	// Pools, when non-nil, supplies reusable fold arenas shared by all
-	// cluster folds (the pools are thread-safe) and by the sweep stage;
-	// see FunctionalOptions.Pools.
-	Pools *Pools
 }
 
 // DefaultHybridOptions returns the settings used by the benchmarks.
@@ -96,7 +92,7 @@ func HybridFold(g *aig.Graph, T int, opt HybridOptions) (*Result, error) {
 	}
 	run := pipeline.NewRunObserved(opt.Ctx, opt.Budget, opt.Obs)
 	if T == 1 {
-		return identityFold(g, run, "hybrid", pooledSweepOptions(opt.PostOptimize, opt.Pools))
+		return identityFold(g, run, "hybrid", opt.PostOptimize)
 	}
 	if opt.MaxClusterOutputs <= 0 {
 		opt.MaxClusterOutputs = 32
@@ -205,7 +201,7 @@ func HybridFold(g *aig.Graph, T int, opt HybridOptions) (*Result, error) {
 		{Name: pipeline.StageSynth, Run: func(ss *pipeline.StageStats) error {
 			if len(structuralPOs) > 0 {
 				sub := extractCone(g, structuralPOs)
-				sr, err := structuralFoldRun(sub, T, StructuralOptions{Counter: opt.Counter, Pools: opt.Pools}, run)
+				sr, err := structuralFoldRun(sub, T, StructuralOptions{Counter: opt.Counter}, run)
 				if err != nil {
 					return err
 				}
@@ -292,7 +288,7 @@ func HybridFold(g *aig.Graph, T int, opt HybridOptions) (*Result, error) {
 		}},
 	}
 	if opt.PostOptimize != nil {
-		stages = append(stages, sweepStage(&res, pooledSweepOptions(opt.PostOptimize, opt.Pools), run))
+		stages = append(stages, sweepStage(&res, opt.PostOptimize, run))
 	}
 	rep, err := pipeline.Execute(run, "hybrid", stages...)
 	if err != nil {
@@ -446,7 +442,7 @@ func foldClusterFunctionally(g *aig.Graph, T, m int, cluster []int, opt HybridOp
 		sched.OutSlot[t] = row
 	}
 
-	machine, states, err := TimeFrameFoldPooled(sub, sched, 1, run, opt.Pools.bddPool())
+	machine, states, err := TimeFrameFold(sub, sched, 1, run)
 	if err != nil {
 		return nil, err
 	}
@@ -460,9 +456,6 @@ func foldClusterFunctionally(g *aig.Graph, T, m int, cluster []int, opt HybridOp
 		}
 		if mo.Metrics == nil {
 			mo.Metrics = run.Metrics()
-		}
-		if mo.Solvers == nil {
-			mo.Solvers = opt.Pools.satPool()
 		}
 		if rem, ok := run.Remaining(); ok && (mo.Timeout <= 0 || rem < mo.Timeout) {
 			mo.Timeout = rem

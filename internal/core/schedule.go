@@ -47,10 +47,6 @@ type ScheduleOptions struct {
 	// MaxSiftVars skips reordering frames with more fresh variables than
 	// this (0 means 32).
 	MaxSiftVars int
-	// Pool, when non-nil, supplies the reordering stage's BDD manager
-	// arena and receives it back after the frame; reordering with a
-	// pooled arena is bit-identical to a fresh one (bdd.Manager.Reset).
-	Pool *bdd.Pool
 }
 
 // PinSchedule runs Algorithms 1 and 2: outputs are scheduled greedily in
@@ -134,7 +130,7 @@ func PinScheduleRun(g *aig.Graph, T int, opt ScheduleOptions, run *pipeline.Run)
 		}
 		sort.Ints(xsup)
 		if opt.Reorder && len(xsup) > 1 && len(xsup) <= opt.MaxSiftVars && !expired() {
-			if reord, err := reorderProtected(g, que, xsup, outFrames[t], opt.MaxSiftNodes, run, &bddHint, opt.Pool); err == nil {
+			if reord, err := reorderProtected(g, que, xsup, outFrames[t], opt.MaxSiftNodes, run, &bddHint); err == nil {
 				xsup = reord
 			}
 			// On budget exhaustion — or a node-cap / panic unwind out of
@@ -209,9 +205,9 @@ func PinScheduleRun(g *aig.Graph, T int, opt ScheduleOptions, run *pipeline.Run)
 // order), so panics out of the sifting manager — the hard node cap, an
 // injected fault — must degrade the same way instead of unwinding
 // through PinScheduleRun.
-func reorderProtected(g *aig.Graph, que []int, xsup []int, outs []int, maxSiftNodes int, run *pipeline.Run, hint *int, pool *bdd.Pool) (out []int, err error) {
+func reorderProtected(g *aig.Graph, que []int, xsup []int, outs []int, maxSiftNodes int, run *pipeline.Run, hint *int) (out []int, err error) {
 	defer pipeline.RecoverTo(&err, "schedule.reorder")
-	return reorderFreshSupport(g, que, xsup, outs, maxSiftNodes, run, hint, pool)
+	return reorderFreshSupport(g, que, xsup, outs, maxSiftNodes, run, hint)
 }
 
 // reorderFreshSupport implements Algorithm 2 line 4: it builds the BDDs
@@ -219,11 +215,9 @@ func reorderProtected(g *aig.Graph, que []int, xsup []int, outs []int, maxSiftNo
 // remaining], applies symmetric sifting restricted to the fresh block,
 // and returns the fresh inputs in their new level order. The run bounds
 // the BDD size (default 4M nodes) and interrupts sifting mid-flight.
-func reorderFreshSupport(g *aig.Graph, que []int, xsup []int, outs []int, maxSiftNodes int, run *pipeline.Run, hint *int, pool *bdd.Pool) ([]int, error) {
+func reorderFreshSupport(g *aig.Graph, que []int, xsup []int, outs []int, maxSiftNodes int, run *pipeline.Run, hint *int) ([]int, error) {
 	n := g.NumPIs()
-	mgr := pool.Get(n)
-	defer pool.Put(mgr) // runs on the recover-unwind path too; Reset heals any state
-
+	mgr := bdd.New(n)
 	mgr.Reserve(*hint) // earlier frames predict this one's size well
 	mgr.SetNodeLimit(4 * run.NodeLimit(4000000))
 	if run != nil {

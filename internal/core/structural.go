@@ -33,10 +33,6 @@ type StructuralOptions struct {
 	// re-folding. Keying the store to the (circuit, T, options) triple
 	// is the caller's responsibility.
 	Checkpoint pipeline.Checkpoint
-	// Pools, when non-nil, supplies the sweep stage's SAT solvers (the
-	// structural method itself builds no BDDs); see
-	// FunctionalOptions.Pools.
-	Pools *Pools
 }
 
 // StructuralFold folds the combinational circuit g by T time-frames using
@@ -60,7 +56,7 @@ func StructuralFold(g *aig.Graph, T int, opt StructuralOptions) (*Result, error)
 // budget.
 func structuralFoldRun(g *aig.Graph, T int, opt StructuralOptions, run *pipeline.Run) (*Result, error) {
 	if T == 1 {
-		return identityFold(g, run, "structural", pooledSweepOptions(opt.PostOptimize, opt.Pools))
+		return identityFold(g, run, "structural", opt.PostOptimize)
 	}
 	n := g.NumPIs()
 	m := ceilDiv(n, T)
@@ -310,7 +306,7 @@ func structuralFoldRun(g *aig.Graph, T int, opt StructuralOptions, run *pipeline
 		},
 	}
 	if opt.PostOptimize != nil {
-		stages = append(stages, sweepStage(&res, pooledSweepOptions(opt.PostOptimize, opt.Pools), run))
+		stages = append(stages, sweepStage(&res, opt.PostOptimize, run))
 	}
 	rep, err := pipeline.Execute(run, "structural", stages...)
 	if err != nil {

@@ -40,12 +40,6 @@ type MinimizeOptions struct {
 	// Metrics, when non-nil, receives the fsm.states gauge and the
 	// solver's sat.* counters.
 	Metrics *obs.Registry
-	// Solvers, when non-nil, supplies each class-count attempt's SAT
-	// solver and receives it back afterwards, so the per-variable
-	// arrays warm up across the attempt sequence (and across pooled
-	// jobs). Solvers are hard-reset between uses (sat.Solver.Reset);
-	// nil allocates a fresh solver per attempt.
-	Solvers *sat.Pool
 }
 
 // DefaultMinimizeOptions returns the bounds used by the experiment
@@ -250,8 +244,7 @@ func trySolve(m *Machine, atoms []bdd.Node, succ [][]int, outs [][][]Tri,
 	sp.SetInt("states", int64(n))
 	sp.SetInt("atoms", int64(na))
 	defer sp.End()
-	s2 := opt.Solvers.Get()
-	defer opt.Solvers.Put(s2) // models are fully extracted before return
+	s2 := sat.New()
 	if opt.Span != nil || opt.Metrics != nil {
 		s2.SetObserver(sp, opt.Metrics)
 	}

@@ -481,7 +481,25 @@ func (r *Runner) SubmitWith(spec Spec, so SubmitOptions) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	foldKey := spec.FoldKey(g) // hashes the AIG; computed outside the lock
+	// Both content addresses hash the whole input; compute them outside
+	// the lock.
+	key, foldKey := spec.Hash(), spec.FoldKey(g)
+	// A result-cache hit is looked up and decoded before r.mu is taken,
+	// so decoding a large result never stalls other submit, status and
+	// list calls. A hit decodes into a private Result, so cached jobs
+	// never alias each other's circuits; a corrupt entry (codec version
+	// drift) falls through to a real fold. A leader that settles between
+	// this lookup and the lock makes the submission fold again, which
+	// runJob serves from the store's final snapshot.
+	var (
+		hitMethod string
+		hitRes    *circuitfold.Result
+	)
+	if data, ok := r.cache.Get(foldKey); ok {
+		if method, res, err := decodeFinal(data); err == nil {
+			hitMethod, hitRes = method, res
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -491,7 +509,7 @@ func (r *Runner) SubmitWith(spec Spec, so SubmitOptions) (*Job, error) {
 	j := &Job{
 		id:        fmt.Sprintf("j%04d", r.nextID),
 		spec:      spec,
-		key:       spec.Hash(),
+		key:       key,
 		foldKey:   foldKey,
 		g:         g,
 		events:    obs.NewBroadcast(eventReplay),
@@ -517,29 +535,24 @@ func (r *Runner) SubmitWith(spec Spec, so SubmitOptions) (*Job, error) {
 	// finished identical fold without touching an engine; (2) a live
 	// identical fold absorbs this submission as a waiter; (3) this
 	// submission leads and enqueues.
-	if data, ok := r.cache.Get(j.foldKey); ok {
-		// A hit decodes into a private Result, so cached jobs never
-		// alias each other's circuits. A corrupt entry (codec version
-		// drift) falls through to a real fold.
-		if method, res, err := decodeFinal(data); err == nil {
-			r.register(j)
-			// Journal the submission first so the done record that
-			// finishWith appends has a matching lifecycle. Best effort:
-			// a hit completes synchronously, so there is no pending
-			// work a crash could lose.
-			r.journalSubmit(j, false)
-			r.metrics.Counter(obs.MJobCacheHits).Add(1)
-			r.metrics.Counter(obs.MJobDone).Add(1)
-			j.finishWith(StateDone, "", func() {
-				j.cacheStat = "hit"
-				j.method = method
-				j.result = res
-			})
-			j.log.Info("job submitted",
-				"method", j.spec.EffectiveMethod(), "t", j.spec.T, "cache", "hit")
-			j.log.Info("job done", "method", method, "cache", "hit")
-			return j, nil
-		}
+	if hitRes != nil {
+		r.register(j)
+		// Journal the submission first so the done record that
+		// finishWith appends has a matching lifecycle. Best effort: a
+		// hit completes synchronously, so there is no pending work a
+		// crash could lose.
+		r.journalSubmit(j, false)
+		r.metrics.Counter(obs.MJobCacheHits).Add(1)
+		r.metrics.Counter(obs.MJobDone).Add(1)
+		j.finishWith(StateDone, "", func() {
+			j.cacheStat = "hit"
+			j.method = hitMethod
+			j.result = hitRes
+		})
+		j.log.Info("job submitted",
+			"method", j.spec.EffectiveMethod(), "t", j.spec.T, "cache", "hit")
+		j.log.Info("job done", "method", hitMethod, "cache", "hit")
+		return j, nil
 	}
 	if fl, ok := r.inflight[j.foldKey]; ok {
 		j.cacheStat = "attached"
@@ -946,17 +959,11 @@ func (r *Runner) Kill() {
 	r.wg.Wait()
 }
 
-// worker drains the queue. Each worker owns one arena bundle: BDD
-// managers and SAT solvers recycle across its jobs with a hard reset
-// in between, so steady-state folding stops paying arena allocation.
-// Per-worker (not global) bundles keep reuse hot without cross-worker
-// contention on the free lists.
+// worker drains the queue.
 func (r *Runner) worker() {
 	defer r.wg.Done()
-	pools := circuitfold.NewArenaPools()
-	pools.Observe(r.metrics)
 	for j := range r.queue {
-		r.runJob(j, pools)
+		r.runJob(j)
 	}
 }
 
@@ -966,7 +973,7 @@ func (r *Runner) worker() {
 var cpuProfileBusy atomic.Bool
 
 // runJob executes one job end to end.
-func (r *Runner) runJob(j *Job, pools *circuitfold.ArenaPools) {
+func (r *Runner) runJob(j *Job) {
 	// However the job ends, its dedup group (if it leads one) must be
 	// resolved: waiters share a success, inherit a failure, or promote
 	// past a cancellation. The job is terminal on every return path.
@@ -990,9 +997,10 @@ func (r *Runner) runJob(j *Job, pools *circuitfold.ArenaPools) {
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		// Expired while queued: fail without burning a fold.
 		j.mu.Unlock()
-		j.finish(StateFailed, "deadline exceeded before start")
+		// Count before finish: a client woken by finish sees the count.
 		r.metrics.Counter(obs.MJobDeadline).Add(1)
 		r.metrics.Counter(obs.MJobFailed).Add(1)
+		j.finish(StateFailed, "deadline exceeded before start")
 		j.log.Warn("job missed deadline in queue")
 		return
 	}
@@ -1084,16 +1092,15 @@ func (r *Runner) runJob(j *Job, pools *circuitfold.ArenaPools) {
 			j.result = res
 			j.fromSnap = true
 			j.mu.Unlock()
-			j.finish(StateDone, "")
 			r.metrics.Counter(obs.MJobDone).Add(1)
 			j.log.Info("job done", "method", method, "resumed_result", true)
+			j.finish(StateDone, "")
 			return
 		}
 	}
 
 	opt := j.spec.Options()
 	opt.Context = lctx
-	opt.Pools = pools
 	// Spans fan out to the live SSE stream and the flight recorder.
 	opt.Observer = &circuitfold.Observer{
 		Tracer:  circuitfold.NewTracer(obs.MultiSink(j.events, j.flight)),
@@ -1138,24 +1145,27 @@ func (r *Runner) runJob(j *Job, pools *circuitfold.ArenaPools) {
 		r.avgRun.Store(old - old/4 + int64(runDur)/4)
 	}
 	if err != nil {
-		if !deadline.IsZero() && ctx.Err() == context.DeadlineExceeded {
-			// The pipeline reports a deadline expiry as cancellation;
-			// for the client the difference matters.
-			j.finish(StateFailed, "deadline exceeded: "+err.Error())
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			// The pipeline reports a deadline expiry as cancellation,
+			// or as an elapsed wall budget when its own clock check
+			// beats the context's timer; for the client the difference
+			// matters.
+			msg := "deadline exceeded: " + err.Error()
 			r.metrics.Counter(obs.MJobDeadline).Add(1)
 			r.metrics.Counter(obs.MJobFailed).Add(1)
 			j.log.Warn("job missed deadline", "err", err.Error(), "run_seconds", runDur.Seconds())
-			r.dumpFlight(j, ck, "deadline_exceeded")
+			r.dumpFlight(j, ck, "deadline_exceeded", StateFailed, msg)
+			j.finish(StateFailed, msg)
 		} else if errors.Is(err, circuitfold.ErrCanceled) {
-			j.finish(StateCanceled, err.Error())
 			r.metrics.Counter(obs.MJobCanceled).Add(1)
 			j.log.Info("job canceled", "err", err.Error(), "run_seconds", runDur.Seconds())
+			j.finish(StateCanceled, err.Error())
 		} else {
-			j.finish(StateFailed, err.Error())
 			r.metrics.Counter(obs.MJobFailed).Add(1)
 			j.log.Error("job failed", "err", err.Error(), "method", method,
 				"run_seconds", runDur.Seconds())
-			r.dumpFlight(j, ck, "failed")
+			r.dumpFlight(j, ck, "failed", StateFailed, err.Error())
+			j.finish(StateFailed, err.Error())
 		}
 		return
 	}
@@ -1182,7 +1192,6 @@ func (r *Runner) runJob(j *Job, pools *circuitfold.ArenaPools) {
 	j.result = res
 	j.resumed = resumed
 	j.mu.Unlock()
-	j.finish(StateDone, "")
 	r.metrics.Counter(obs.MJobDone).Add(1)
 	j.log.Info("job done", "method", method, "run_seconds", runDur.Seconds(),
 		"states", res.States, "gates", res.Gates())
@@ -1190,25 +1199,28 @@ func (r *Runner) runJob(j *Job, pools *circuitfold.ArenaPools) {
 	// recovered panics and degradation-ladder descents are incidents
 	// an operator wants the context for, even with a green result.
 	if j.metrics.Counter(obs.MFoldPanics).Value() > 0 {
-		r.dumpFlight(j, ck, "panic_recovered")
+		r.dumpFlight(j, ck, "panic_recovered", StateDone, "")
 	} else if j.metrics.Counter(obs.MFoldFallbacks).Value() > 0 {
-		r.dumpFlight(j, ck, "degraded")
+		r.dumpFlight(j, ck, "degraded", StateDone, "")
 	}
+	j.finish(StateDone, "")
 }
 
-// dumpFlight assembles and stores the job's flight-recorder artifact.
-// Best effort end to end: a failed persist still leaves the artifact
-// on the job for the HTTP API.
-func (r *Runner) dumpFlight(j *Job, ck pipeline.Checkpoint, reason string) {
+// dumpFlight assembles and stores the artifact of a job about to
+// finish in state with error text errText. It runs before the terminal
+// transition, so a client woken by that transition can fetch the
+// artifact. Best effort end to end: a failed persist still leaves the
+// artifact on the job for the HTTP API.
+func (r *Runner) dumpFlight(j *Job, ck pipeline.Checkpoint, reason string, state State, errText string) {
 	st := j.Status()
 	meta := map[string]any{
 		"job_id": j.id,
 		"key":    j.key,
-		"state":  string(st.State),
+		"state":  string(state),
 		"reason": reason,
 	}
-	if st.Error != "" {
-		meta["error"] = st.Error
+	if errText != "" {
+		meta["error"] = errText
 	}
 	if st.Method != "" {
 		meta["method"] = st.Method

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -46,15 +45,13 @@ const (
 	MJobFailed     = "job.failed"      // counter: jobs finished in error
 	MJobCanceled   = "job.canceled"    // counter: jobs canceled (client or drain)
 
-	// Shared-work engine (result cache, in-flight dedup, arena pools).
+	// Shared-work engine (result cache, in-flight dedup).
 	MJobCacheHits     = "job.cache_hits"     // counter: submissions served from the result cache
 	MJobCacheMisses   = "job.cache_misses"   // counter: submissions that had to fold
 	MJobDedupAttached = "job.dedup_attached" // counter: submissions attached to an identical in-flight job
 	MCacheEntries     = "cache.entries"      // gauge: result-cache entries resident
 	MCacheBytes       = "cache.bytes"        // gauge: result-cache bytes resident
 	MCacheEvictions   = "cache.evictions"    // counter: result-cache entries evicted (LRU or size cap)
-	MBDDPoolReuse     = "bdd.pool_reuse"     // counter: BDD manager arenas recycled from a pool
-	MSATPoolReuse     = "sat.pool_reuse"     // counter: SAT solvers recycled from a pool
 
 	MHTTPRequests = "http.requests"        // counter: API requests served
 	MHTTPSeconds  = "http.request_seconds" // timing: API request latency
@@ -426,27 +423,4 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// published guards expvar.Publish, which panics on duplicate names;
-// republishing the same registry name is a silent no-op instead.
-var (
-	publishMu sync.Mutex
-	published = make(map[string]bool)
-)
-
-// Publish exposes the registry's Snapshot under the given expvar name
-// (visible at /debug/vars when an HTTP server runs on the default
-// mux). Publishing the same name twice keeps the first registration.
-func (r *Registry) Publish(name string) {
-	if r == nil {
-		return
-	}
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if published[name] {
-		return
-	}
-	published[name] = true
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

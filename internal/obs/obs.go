@@ -1,8 +1,9 @@
 // Package obs is the engine's observability layer: a registry of
 // atomically updated named metrics (counters, gauges, histograms)
-// published via expvar, and a hierarchical span tracer with pluggable
-// sinks (a JSONL event log and a Chrome trace_event export that renders
-// as a flame chart in Perfetto or chrome://tracing).
+// exported in the OpenMetrics text format, and a hierarchical span
+// tracer with pluggable sinks (a JSONL event log and a Chrome
+// trace_event export that renders as a flame chart in Perfetto or
+// chrome://tracing).
 //
 // Everything is nil-safe by design: every method on a nil *Span,
 // *Counter, *Gauge, *Histogram, *Registry or *Observer is a no-op that

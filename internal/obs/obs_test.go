@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"os"
 	"path/filepath"
 	"sync"
@@ -34,7 +33,6 @@ func TestNilZeroAlloc(t *testing.T) {
 		r.Gauge("g").Set(2)
 		r.Histogram("h").Observe(4)
 		_ = r.Snapshot()
-		r.Publish("nil-registry")
 
 		var tr *Tracer
 		tr.Start("root", "cat").End()
@@ -245,23 +243,5 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("h").Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
-	}
-}
-
-func TestPublishDuplicate(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Add(1)
-	r.Publish("obs-test-registry")
-	r.Publish("obs-test-registry") // must not panic (expvar would)
-	v := expvar.Get("obs-test-registry")
-	if v == nil {
-		t.Fatal("registry not published")
-	}
-	var snap map[string]any
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("published value is not JSON: %v", err)
-	}
-	if snap["x"].(float64) != 1 {
-		t.Fatalf("published snapshot = %v", snap)
 	}
 }
