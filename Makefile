@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race vet faults bench bench-go bench-bdd-smoke bench-fold-smoke bench-throughput-smoke bench-compare serve-smoke chaos trace clean
+.PHONY: build test verify race vet faults bench bench-go bench-bdd-smoke bench-fold-smoke bench-throughput-smoke bench-compare serve-smoke fuzz-smoke chaos trace clean
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,15 @@ verify: build test vet race faults serve-smoke bench-throughput-smoke
 serve-smoke:
 	$(GO) build ./cmd/foldd
 	$(GO) test -race -run 'ServeSmoke|KillAndResume|Shutdown|GoroutineLeak|ServeFlightRecorder|ServeOpenMetrics|ServeReadiness|ServeProfile|Journal|Recover|Quarantine|FaultPoints|CorruptionHeals|Overload|Deadline|NoLeak' -v ./internal/job/
+
+# fuzz-smoke runs each fuzzer past its seed corpus for 10 s: the BDD
+# kernel against truth tables, the degradation ladder under injected
+# faults, and the machine checkpoint decoder against arbitrary blobs.
+# go test -fuzz takes one target per package, hence one line each.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBDDOps$$' -fuzztime 10s ./internal/bdd
+	$(GO) test -run '^$$' -fuzz '^FuzzFoldResilient$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMachine$$' -fuzztime 10s ./internal/core
 
 # chaos is the crash-safety gate, under the race detector: 20 rounds of
 # recover -> submit -> kill over one persistent journal + checkpoint

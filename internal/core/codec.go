@@ -22,10 +22,12 @@ import (
 // pin names are bit-identical to the original — which is what lets a
 // resumed job produce a Result indistinguishable from an uninterrupted
 // run, and what makes result equality testable with reflect.DeepEqual.
-// Machine conditions are serialized as disjoint cube covers (one cube
-// per BDD path to True), whose disjunction rebuilds exactly the same
-// Boolean function; downstream stages only depend on the conditions as
-// functions, so encode/minimize behave identically after a restore.
+// Machine conditions are serialized as one shared BDD node table, each
+// distinct node written once, so a checkpoint is linear in the BDD size
+// rather than in its path count, which can be exponential. Decoding
+// rebuilds exactly the same Boolean functions over a fresh manager;
+// downstream stages only depend on the conditions as functions, so
+// encode/minimize behave identically after a restore.
 
 // ResultCodecVersion is the current wire version of EncodeResult. A
 // decoder rejects versions it does not know rather than guessing.
@@ -246,38 +248,103 @@ func DecodeSchedule(data []byte) (*Schedule, error) {
 	return sj.S, nil
 }
 
-// transJSON is one symbolic transition: a disjoint cube cover of the
-// condition, the three-valued output vector as a '0'/'1'/'-' string,
-// and the destination state (DontCare = -1).
+// MachineCodecVersion is the wire version of EncodeMachine, separate
+// from ResultCodecVersion so the machine format can change without
+// invalidating final snapshots and cached results. A blob of another
+// version (version 1 stored cube covers) fails DecodeMachine, and its
+// stage re-runs.
+const MachineCodecVersion = 2
+
+// maxMachineInputs caps the input count DecodeMachine accepts, so a
+// corrupt count cannot size a huge BDD manager. A checkpoint over more
+// inputs than this fails to restore and its stage re-runs.
+const maxMachineInputs = 1 << 16
+
+// transJSON is one symbolic transition: the condition's root edge into
+// the machine's node table, the three-valued output vector as a
+// '0'/'1'/'-' string, and the destination state (DontCare = -1).
 type transJSON struct {
-	Cubes []string `json:"cubes"`
-	Out   string   `json:"out"`
-	Dst   int      `json:"dst"`
+	Cond uint32 `json:"c"`
+	Out  string `json:"out"`
+	Dst  int    `json:"dst"`
 }
 
 // machineJSON is the versioned wire form of a folded ISFSM (the
 // tff/minimize-stage checkpoint). States carries Result.States — the
 // raw time-frame-folding state count including the don't-care final
 // state — alongside the machine, because the tff stage produces both.
+//
+// Nodes is the shared BDD node table of every transition condition:
+// entry i-1 is node i as (var, lo edge, hi edge). An edge is
+// index<<1 | complement, where index 0 is the terminal, so edge 0 is
+// False and edge 1 is True. Every edge points to an earlier entry and
+// every node's variable is strictly smaller than its children's, which
+// is the order of a fresh bdd.New(Inputs) manager.
 type machineJSON struct {
 	V       int           `json:"v"`
 	Inputs  int           `json:"inputs"`
 	Outputs int           `json:"outputs"`
 	Initial int           `json:"initial"`
 	States  int           `json:"states"`
+	Nodes   [][3]uint32   `json:"nodes"`
 	Trans   [][]transJSON `json:"trans"`
+}
+
+// nodeTable numbers the regular nodes of a manager in first-visit
+// post-order, so children always precede their parents.
+type nodeTable struct {
+	mgr    *bdd.Manager
+	inputs uint32
+	index  []uint32 // arena slot -> table index, 0 = not yet emitted
+	nodes  [][3]uint32
+}
+
+// edge returns n's edge into the table, emitting its missing nodes
+// (lo before hi).
+func (t *nodeTable) edge(n bdd.Node) (uint32, error) {
+	if t.mgr.IsTerminal(n) {
+		return uint32(n), nil
+	}
+	r, c := bdd.Regular(n), uint32(n&1)
+	if i := t.index[r>>1]; i != 0 {
+		return i<<1 | c, nil
+	}
+	v := uint32(t.mgr.TopVar(r))
+	if v >= t.inputs {
+		return 0, fmt.Errorf("core: condition depends on variable %d of %d inputs", v, t.inputs)
+	}
+	lo, err := t.edge(t.mgr.Lo(r))
+	if err != nil {
+		return 0, err
+	}
+	hi, err := t.edge(t.mgr.Hi(r))
+	if err != nil {
+		return 0, err
+	}
+	for _, e := range [2]uint32{lo, hi} {
+		if e > 1 && t.nodes[e>>1-1][0] <= v {
+			return 0, fmt.Errorf("core: machine manager is not in variable-index order")
+		}
+	}
+	t.nodes = append(t.nodes, [3]uint32{v, lo, hi})
+	i := uint32(len(t.nodes))
+	t.index[r>>1] = i
+	return i<<1 | c, nil
 }
 
 // EncodeMachine serializes a machine and the accompanying raw state
 // count. Transition structure (state order, transition order, outputs,
-// destinations) is preserved 1:1; conditions are rebuilt from their
-// cube covers as exactly the same Boolean functions.
+// destinations) is preserved 1:1; the conditions are written once as a
+// shared node table, so the blob grows linearly with their BDD size.
+// The walk visits states, then transitions, in order, so the same
+// machine always encodes to the same bytes.
 func EncodeMachine(m *fsm.Machine, states int) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: cannot encode nil machine")
 	}
+	t := &nodeTable{mgr: m.Mgr, inputs: uint32(m.NumInputs), index: make([]uint32, m.Mgr.NumNodes())}
 	mj := &machineJSON{
-		V:       ResultCodecVersion,
+		V:       MachineCodecVersion,
 		Inputs:  m.NumInputs,
 		Outputs: m.NumOutputs,
 		Initial: m.Initial,
@@ -287,31 +354,54 @@ func EncodeMachine(m *fsm.Machine, states int) ([]byte, error) {
 	for s, ts := range m.Trans {
 		mj.Trans[s] = make([]transJSON, len(ts))
 		for i, tr := range ts {
+			cond, err := t.edge(tr.Cond)
+			if err != nil {
+				return nil, err
+			}
 			out := make([]byte, len(tr.Out))
 			for o, v := range tr.Out {
 				out[o] = v.String()[0]
 			}
-			mj.Trans[s][i] = transJSON{
-				Cubes: fsm.Cubes(m.Mgr, tr.Cond, m.NumInputs),
-				Out:   string(out),
-				Dst:   tr.Dst,
-			}
+			mj.Trans[s][i] = transJSON{Cond: cond, Out: string(out), Dst: tr.Dst}
 		}
 	}
+	mj.Nodes = t.nodes
 	return json.Marshal(mj)
 }
 
 // DecodeMachine parses EncodeMachine's output into a fresh machine
-// (over a fresh BDD manager) plus the raw state count.
+// (over a fresh BDD manager) plus the raw state count. The node table
+// is rebuilt bottom-up; it is checked first so that every node costs
+// one constant-time Ite, whatever the blob holds.
 func DecodeMachine(data []byte) (*fsm.Machine, int, error) {
 	var mj machineJSON
 	if err := json.Unmarshal(data, &mj); err != nil {
 		return nil, 0, fmt.Errorf("core: decode machine: %w", err)
 	}
-	if mj.V != ResultCodecVersion {
-		return nil, 0, fmt.Errorf("core: machine codec version %d, this build reads %d", mj.V, ResultCodecVersion)
+	if mj.V != MachineCodecVersion {
+		return nil, 0, fmt.Errorf("core: machine codec version %d, this build reads %d", mj.V, MachineCodecVersion)
+	}
+	if mj.Inputs < 0 || mj.Inputs > maxMachineInputs || mj.Outputs < 0 {
+		return nil, 0, fmt.Errorf("core: machine with %d inputs and %d outputs", mj.Inputs, mj.Outputs)
 	}
 	mgr := bdd.New(mj.Inputs)
+	built := make([]bdd.Node, len(mj.Nodes)+1) // built[0] is the terminal
+	edge := func(e uint32) bdd.Node { return built[e>>1] ^ bdd.Node(e&1) }
+	for i, n := range mj.Nodes {
+		v, lo, hi := n[0], n[1], n[2]
+		if v >= uint32(mj.Inputs) {
+			return nil, 0, fmt.Errorf("core: node %d has variable %d of %d inputs", i+1, v, mj.Inputs)
+		}
+		for _, e := range [2]uint32{lo, hi} {
+			if int(e>>1) > i {
+				return nil, 0, fmt.Errorf("core: node %d has forward edge %d", i+1, e)
+			}
+			if e > 1 && mj.Nodes[e>>1-1][0] <= v {
+				return nil, 0, fmt.Errorf("core: node %d is not above its children", i+1)
+			}
+		}
+		built[i+1] = mgr.Ite(mgr.Var(int(v)), edge(hi), edge(lo))
+	}
 	m := &fsm.Machine{
 		Mgr:        mgr,
 		NumInputs:  mj.Inputs,
@@ -322,30 +412,14 @@ func DecodeMachine(data []byte) (*fsm.Machine, int, error) {
 	for s, ts := range mj.Trans {
 		m.Trans[s] = make([]fsm.Transition, len(ts))
 		for i, tj := range ts {
-			cond := bdd.False
-			for _, cube := range tj.Cubes {
-				if len(cube) != mj.Inputs {
-					return nil, 0, fmt.Errorf("core: cube %q does not match %d inputs", cube, mj.Inputs)
-				}
-				c := bdd.True
-				for v, ch := range cube {
-					switch ch {
-					case '0':
-						c = mgr.And(c, mgr.NVar(v))
-					case '1':
-						c = mgr.And(c, mgr.Var(v))
-					case '-':
-					default:
-						return nil, 0, fmt.Errorf("core: bad cube character %q", string(ch))
-					}
-				}
-				cond = mgr.Or(cond, c)
+			if int(tj.Cond>>1) > len(mj.Nodes) {
+				return nil, 0, fmt.Errorf("core: condition edge %d out of range", tj.Cond)
 			}
 			if len(tj.Out) != mj.Outputs {
 				return nil, 0, fmt.Errorf("core: output vector %q does not match %d outputs", tj.Out, mj.Outputs)
 			}
 			out := make([]fsm.Tri, mj.Outputs)
-			for o, ch := range tj.Out {
+			for o, ch := range []byte(tj.Out) {
 				switch ch {
 				case '0':
 					out[o] = fsm.Zero
@@ -357,7 +431,7 @@ func DecodeMachine(data []byte) (*fsm.Machine, int, error) {
 					return nil, 0, fmt.Errorf("core: bad output character %q", string(ch))
 				}
 			}
-			m.Trans[s][i] = fsm.Transition{Cond: cond, Out: out, Dst: tj.Dst}
+			m.Trans[s][i] = fsm.Transition{Cond: edge(tj.Cond), Out: out, Dst: tj.Dst}
 		}
 	}
 	if err := m.Validate(); err != nil {

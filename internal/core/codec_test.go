@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"circuitfold/internal/bdd"
 	"circuitfold/internal/core"
 	"circuitfold/internal/eqcheck"
+	"circuitfold/internal/fsm"
 	"circuitfold/internal/gen"
 	"circuitfold/internal/pipeline"
 )
@@ -155,6 +157,15 @@ func TestMachineCodecRoundTrip(t *testing.T) {
 	if gotStates != states {
 		t.Errorf("states = %d, want %d", gotStates, states)
 	}
+	// The node table is canonical: re-encoding the decoded machine
+	// reproduces the blob byte for byte.
+	again, err := core.EncodeMachine(got, gotStates)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if string(again) != string(data) {
+		t.Fatal("encode -> decode -> encode is not byte-identical")
+	}
 	if got.NumStates() != m.NumStates() || got.NumInputs != m.NumInputs ||
 		got.NumOutputs != m.NumOutputs || got.Initial != m.Initial {
 		t.Fatalf("machine shape mismatch: %d states %d in %d out init %d, want %d/%d/%d/%d",
@@ -262,6 +273,86 @@ func TestFunctionalResumeBitIdentical(t *testing.T) {
 			}
 			if err := eqcheck.VerifyFoldWords(g, resumed, 2, 5); err != nil {
 				t.Fatalf("resumed fold failed verification: %v", err)
+			}
+		})
+	}
+}
+
+// TestMachineCheckpointLinearInBDDSize pins the tff checkpoint to the
+// size of the conditions' shared BDD on the folds whose cube-cover
+// encoding blew up (65 MB for i3 at T=4, more than 2.5 GB for b17_C at
+// T=8), and checks that resuming from every stage's checkpoint gives
+// the uninterrupted fold's Result. b17_C folds without minimization,
+// whose atom partition it exceeds.
+func TestMachineCheckpointLinearInBDDSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("folds three large Table III configurations")
+	}
+	for _, tc := range []struct {
+		name     string
+		T        int
+		minimize bool
+	}{{"i3", 4, true}, {"64-adder", 8, true}, {"b17_C", 8, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := gen.MustBuild(tc.name)
+			opt := core.FunctionalOptions{Minimize: tc.minimize, StateEnc: core.Binary, MinOpts: fsm.DefaultMinimizeOptions()}
+			clean, err := core.FunctionalFold(g, tc.T, opt)
+			if err != nil {
+				t.Fatalf("uninterrupted fold: %v", err)
+			}
+			rec := newMemCheckpoint()
+			opt.Checkpoint = rec
+			if _, err := core.FunctionalFold(g, tc.T, opt); err != nil {
+				t.Fatalf("recorded fold: %v", err)
+			}
+
+			blob, ok := rec.Load(pipeline.StageTFF)
+			if !ok {
+				t.Fatal("no tff checkpoint")
+			}
+			m, _, err := core.DecodeMachine(blob)
+			if err != nil {
+				t.Fatalf("decode tff checkpoint: %v", err)
+			}
+			var conds []bdd.Node
+			for _, ts := range m.Trans {
+				for _, tr := range ts {
+					conds = append(conds, tr.Cond)
+				}
+			}
+			nodes := m.Mgr.NodeCount(conds...)
+			if limit := 32*(nodes+len(conds)) + 4<<10; len(blob) > limit {
+				t.Errorf("tff blob is %d bytes for %d shared nodes and %d transitions, want at most %d",
+					len(blob), nodes, len(conds), limit)
+			}
+			t.Logf("tff blob %d bytes, %d shared nodes, %d transitions", len(blob), nodes, len(conds))
+
+			stages := []string{pipeline.StageSchedule, pipeline.StageTFF, pipeline.StageEncode}
+			if tc.minimize {
+				stages = []string{pipeline.StageSchedule, pipeline.StageTFF, pipeline.StageMinimize, pipeline.StageEncode}
+			}
+			for k, stage := range stages {
+				ck := newMemCheckpoint()
+				for _, s := range stages[:k+1] {
+					data, ok := rec.Load(s)
+					if !ok {
+						t.Fatalf("no %s checkpoint", s)
+					}
+					ck.Save(s, data)
+				}
+				opt.Checkpoint = ck
+				got, err := core.FunctionalFold(g, tc.T, opt)
+				if err != nil {
+					t.Fatalf("resume from %s: %v", stage, err)
+				}
+				if !reflect.DeepEqual(stripReport(got), stripReport(clean)) {
+					t.Errorf("resume from %s differs from the uninterrupted fold", stage)
+				}
+				for _, ss := range got.Report.Stages {
+					if ss.Name == stage && !ss.Resumed {
+						t.Errorf("resume from %s: stage not marked resumed", stage)
+					}
+				}
 			}
 		})
 	}

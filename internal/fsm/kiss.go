@@ -46,8 +46,10 @@ func WriteKISS(w io.Writer, m *Machine) error {
 // Cubes expands a BDD into a disjoint cover of input cubes ('0', '1',
 // '-' per variable position); one cube per path to the True terminal.
 // The disjunction of the cubes is exactly f, which is what the KISS
-// writer and the checkpoint codec in internal/core rely on to
-// serialize symbolic transition conditions losslessly.
+// and DOT exports rely on to print symbolic transition conditions
+// losslessly. The cover can be exponential in the BDD size, so it is
+// for human-readable exports only; checkpoints store the BDD itself
+// (see core.EncodeMachine).
 func Cubes(mgr *bdd.Manager, f bdd.Node, numInputs int) []string {
 	var out []string
 	cube := make([]byte, numInputs)

@@ -735,22 +735,34 @@ func (r *Runner) Cancel(id string) bool {
 }
 
 // settleFlight resolves the dedup group led by leader once it is
-// terminal: done waiters each decode a private copy of the leader's
-// encoded result (bit-identical by construction), failed waiters
-// inherit the failure, and a canceled leader promotes the first
-// still-live waiter so attached work survives user cancellation. No-op
-// unless leader actually leads a live flight, so it is safe to call on
-// every terminal transition.
+// terminal. No-op unless leader actually leads a live flight, so it is
+// safe to call on every terminal transition.
 func (r *Runner) settleFlight(leader *Job) {
+	r.settleWaiters(leader, r.detachFlight(leader))
+}
+
+// detachFlight takes leader's dedup group out of r.inflight and returns
+// the waiters attached to it; nil unless leader leads a live flight.
+// A worker detaches before the leader's terminal transition, so a
+// resubmission made the moment a client sees the leader finish folds
+// or hits the cache instead of attaching to a finished leader.
+func (r *Runner) detachFlight(leader *Job) []*Job {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	fl := r.inflight[leader.foldKey]
 	if fl == nil || fl.leader != leader {
-		r.mu.Unlock()
-		return
+		return nil
 	}
 	delete(r.inflight, leader.foldKey)
-	waiters := fl.waiters
-	r.mu.Unlock()
+	return fl.waiters
+}
+
+// settleWaiters resolves the waiters detached from a terminal leader:
+// done waiters each decode a private copy of the leader's encoded
+// result (bit-identical by construction), failed waiters inherit the
+// failure, and a canceled leader promotes the first still-live waiter
+// so attached work survives user cancellation.
+func (r *Runner) settleWaiters(leader *Job, waiters []*Job) {
 	if len(waiters) == 0 {
 		return
 	}
@@ -805,6 +817,12 @@ func (r *Runner) promote(leader *Job, waiters []*Job) {
 		return
 	}
 	r.mu.Lock()
+	if fl, ok := r.inflight[leader.foldKey]; ok {
+		// A resubmission already leads the key again: join it.
+		fl.waiters = append(fl.waiters, live...)
+		r.mu.Unlock()
+		return
+	}
 	if !r.closed && !r.draining {
 		head := live[0]
 		select {
@@ -976,20 +994,28 @@ var cpuProfileBusy atomic.Bool
 func (r *Runner) runJob(j *Job) {
 	// However the job ends, its dedup group (if it leads one) must be
 	// resolved: waiters share a success, inherit a failure, or promote
-	// past a cancellation. The job is terminal on every return path.
-	defer r.settleFlight(j)
+	// past a cancellation. The job is terminal on every return path,
+	// and every terminal transition goes through finish, which detaches
+	// the group first; the waiters are settled on the way out.
+	var waiters []*Job
+	defer func() { r.settleWaiters(j, waiters) }()
+	finish := func(state State, errText string) {
+		waiters = r.detachFlight(j)
+		j.finish(state, errText)
+	}
 	r.mu.Lock()
 	draining := r.draining
 	r.mu.Unlock()
 	j.mu.Lock()
 	if j.state != StateQueued { // canceled while queued
 		j.mu.Unlock()
+		waiters = r.detachFlight(j)
 		r.metrics.Counter(obs.MJobCanceled).Add(1)
 		return
 	}
 	if draining {
 		j.mu.Unlock()
-		j.finish(StateCanceled, "canceled: daemon shutting down")
+		finish(StateCanceled, "canceled: daemon shutting down")
 		r.metrics.Counter(obs.MJobCanceled).Add(1)
 		return
 	}
@@ -1000,7 +1026,7 @@ func (r *Runner) runJob(j *Job) {
 		// Count before finish: a client woken by finish sees the count.
 		r.metrics.Counter(obs.MJobDeadline).Add(1)
 		r.metrics.Counter(obs.MJobFailed).Add(1)
-		j.finish(StateFailed, "deadline exceeded before start")
+		finish(StateFailed, "deadline exceeded before start")
 		j.log.Warn("job missed deadline in queue")
 		return
 	}
@@ -1094,7 +1120,7 @@ func (r *Runner) runJob(j *Job) {
 			j.mu.Unlock()
 			r.metrics.Counter(obs.MJobDone).Add(1)
 			j.log.Info("job done", "method", method, "resumed_result", true)
-			j.finish(StateDone, "")
+			finish(StateDone, "")
 			return
 		}
 	}
@@ -1155,17 +1181,17 @@ func (r *Runner) runJob(j *Job) {
 			r.metrics.Counter(obs.MJobFailed).Add(1)
 			j.log.Warn("job missed deadline", "err", err.Error(), "run_seconds", runDur.Seconds())
 			r.dumpFlight(j, ck, "deadline_exceeded", StateFailed, msg)
-			j.finish(StateFailed, msg)
+			finish(StateFailed, msg)
 		} else if errors.Is(err, circuitfold.ErrCanceled) {
 			r.metrics.Counter(obs.MJobCanceled).Add(1)
 			j.log.Info("job canceled", "err", err.Error(), "run_seconds", runDur.Seconds())
-			j.finish(StateCanceled, err.Error())
+			finish(StateCanceled, err.Error())
 		} else {
 			r.metrics.Counter(obs.MJobFailed).Add(1)
 			j.log.Error("job failed", "err", err.Error(), "method", method,
 				"run_seconds", runDur.Seconds())
 			r.dumpFlight(j, ck, "failed", StateFailed, err.Error())
-			j.finish(StateFailed, err.Error())
+			finish(StateFailed, err.Error())
 		}
 		return
 	}
@@ -1203,7 +1229,7 @@ func (r *Runner) runJob(j *Job) {
 	} else if j.metrics.Counter(obs.MFoldFallbacks).Value() > 0 {
 		r.dumpFlight(j, ck, "degraded", StateDone, "")
 	}
-	j.finish(StateDone, "")
+	finish(StateDone, "")
 }
 
 // dumpFlight assembles and stores the artifact of a job about to

@@ -430,3 +430,44 @@ func TestRunnerDedupPromoteCanceledWaiterNoLeak(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerPromoteJoinsNewLeader covers the window between a canceled
+// leader's detach and the promotion of its waiters: a resubmission that
+// already leads the fold key again takes those waiters, instead of
+// being displaced by a second fold of the same key.
+func TestRunnerPromoteJoinsNewLeader(t *testing.T) {
+	gate := make(chan struct{}) // each send lets one job reach its store
+	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: &gateStore{Store: NewMemStore(), gate: gate}})
+	defer r.Shutdown(context.Background())
+	defer close(gate)
+	leader, err := r.Submit(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, leader)
+	w, err := r.Submit(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiters := r.detachFlight(leader) // what the worker does before a terminal transition
+	next, err := r.Submit(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := next.Status(); st.Cache != "miss" {
+		t.Fatalf("resubmission after detach = %+v, want a new leader", st)
+	}
+	r.Cancel(leader.ID())
+	gate <- struct{}{}
+	wait(t, leader)
+	r.settleWaiters(leader, waiters)
+	if st := w.Status(); st.Cache != "attached" || st.State != StateQueued {
+		t.Fatalf("waiter of the canceled leader = %+v, want attached to the new leader", st)
+	}
+	gate <- struct{}{}
+	wait(t, next)
+	wait(t, w)
+	if st := w.Status(); st.State != StateDone {
+		t.Fatalf("waiter = %+v (%s), want done", st, st.Error)
+	}
+}

@@ -1,11 +1,17 @@
 package job
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"circuitfold/internal/core"
+	"circuitfold/internal/fsm"
+	"circuitfold/internal/gen"
 	"circuitfold/internal/pipeline"
 )
 
@@ -151,5 +157,70 @@ func TestFileStoreConcurrentSaves(t *testing.T) {
 		if _, ok := ck.Load(fmt.Sprintf("stage%d", i)); !ok {
 			t.Errorf("stage%d missing after concurrent saves", i)
 		}
+	}
+}
+
+// TestStoreStaleMachineBlobReruns plants a version-1 tff checkpoint —
+// the cube-cover machine encoding an older build left in its store —
+// and checks that the fold refuses it, re-runs the stage, and returns
+// the cold fold's result.
+func TestStoreStaleMachineBlobReruns(t *testing.T) {
+	g := gen.MustBuild("adder3")
+	const T = 3
+	opt := core.FunctionalOptions{Minimize: true, MinOpts: fsm.DefaultMinimizeOptions()}
+	cold, err := core.FunctionalFold(g, T, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sched, err := core.PinSchedule(g, T, core.ScheduleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, states, err := core.TimeFrameFold(g, sched, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type v1Trans struct {
+		Cubes []string `json:"cubes"`
+		Out   string   `json:"out"`
+		Dst   int      `json:"dst"`
+	}
+	trans := make([][]v1Trans, m.NumStates())
+	for s, ts := range m.Trans {
+		for _, tr := range ts {
+			out := ""
+			for _, v := range tr.Out {
+				out += v.String()
+			}
+			trans[s] = append(trans[s], v1Trans{fsm.Cubes(m.Mgr, tr.Cond, m.NumInputs), out, tr.Dst})
+		}
+	}
+	v1, err := json.Marshal(map[string]any{"v": 1, "inputs": m.NumInputs, "outputs": m.NumOutputs,
+		"initial": m.Initial, "states": states, "trans": trans})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := NewMemStore()
+	ck := store.Checkpoint("stale")
+	if err := ck.Save(pipeline.StageTFF, v1); err != nil {
+		t.Fatal(err)
+	}
+	opt.Checkpoint = ck
+	got, err := core.FunctionalFold(g, T, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ss := range got.Report.Stages {
+		if ss.Name == pipeline.StageTFF && ss.Resumed {
+			t.Error("tff stage resumed from a version-1 blob")
+		}
+	}
+	if !reflect.DeepEqual(stripReport(got), stripReport(cold)) {
+		t.Error("fold over a stale tff blob differs from the cold fold")
+	}
+	if data, ok := ck.Load(pipeline.StageTFF); !ok || bytes.Equal(data, v1) {
+		t.Error("re-run tff stage did not replace the stale blob")
 	}
 }
