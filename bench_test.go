@@ -442,12 +442,47 @@ func BenchmarkMeMin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mm, err := fsm.Minimize(machine, fsm.DefaultMinimizeOptions())
+		mm, _, err := fsm.Minimize(machine, fsm.DefaultMinimizeOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if mm.NumStates() != 2 {
 			b.Fatalf("states = %d", mm.NumStates())
+		}
+	}
+}
+
+// BenchmarkMinimizeTable3 times fsm.Minimize alone on the time-frame
+// folded machine of every minimize configuration foldbench's
+// table3-functional workload runs (r/nr = input reordering on/off), so
+// the MeMin layer can be measured without the fold service around it.
+func BenchmarkMinimizeTable3(b *testing.B) {
+	for _, c := range []struct {
+		circuit string
+		T       int
+	}{{"arbiter", 16}, {"arbiter", 4}, {"e64", 16}, {"e64", 4}, {"i2", 16}, {"i3", 8}, {"i6", 16}} {
+		for _, reorder := range []bool{false, true} {
+			name := fmt.Sprintf("%s/T=%d/nr", c.circuit, c.T)
+			if reorder {
+				name = fmt.Sprintf("%s/T=%d/r", c.circuit, c.T)
+			}
+			b.Run(name, func(b *testing.B) {
+				g := gen.MustBuild(c.circuit)
+				sched, err := core.PinSchedule(g, c.T, core.ScheduleOptions{Reorder: reorder})
+				if err != nil {
+					b.Fatal(err)
+				}
+				machine, _, err := core.TimeFrameFold(g, sched, 1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := fsm.Minimize(machine, fsm.DefaultMinimizeOptions()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

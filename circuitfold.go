@@ -488,7 +488,8 @@ func ReadKISS(r io.Reader) (*Machine, error) { return fsm.ReadKISS(r) }
 // default bounds.
 func MinimizeMachine(m *Machine) (min *Machine, err error) {
 	defer pipeline.RecoverTo(&err, "circuitfold.MinimizeMachine")
-	return fsm.Minimize(m, fsm.DefaultMinimizeOptions())
+	min, _, err = fsm.Minimize(m, fsm.DefaultMinimizeOptions())
+	return min, err
 }
 
 // VerifyFast is the word-parallel verifier: rounds*64 random vectors per

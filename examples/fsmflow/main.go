@@ -51,7 +51,7 @@ func main() {
 	fmt.Println(kiss.String())
 
 	// Exact state minimization (MeMin).
-	minimized, err := fsm.Minimize(machine, fsm.DefaultMinimizeOptions())
+	minimized, _, err := fsm.Minimize(machine, fsm.DefaultMinimizeOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,11 @@ func ReadBench(r io.Reader) (*seq.Circuit, error) {
 			}
 			name := strings.TrimSpace(line[:eq])
 			rhs := strings.TrimSpace(line[eq+1:])
-			op := strings.ToUpper(rhs[:strings.IndexByte(rhs, '(')])
+			open := strings.IndexByte(rhs, '(')
+			if open < 0 {
+				return nil, fmt.Errorf("cio: malformed bench line %q", line)
+			}
+			op := strings.ToUpper(rhs[:open])
 			args := strings.Split(argOf(rhs), ",")
 			for i := range args {
 				args[i] = strings.TrimSpace(args[i])

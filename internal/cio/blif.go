@@ -151,6 +151,9 @@ func ReadBLIF(r io.Reader) (*seq.Circuit, error) {
 	}
 	for _, line := range lines {
 		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue // a continuation that joined to nothing
+		}
 		switch f[0] {
 		case ".model":
 			// ignored
@@ -173,6 +176,9 @@ func ReadBLIF(r io.Reader) (*seq.Circuit, error) {
 			latches = append(latches, l)
 		case ".names":
 			flush()
+			if len(f) < 2 {
+				return nil, fmt.Errorf("cio: .names without an output: %q", line)
+			}
 			cur = &table{ins: f[1 : len(f)-1], out: f[len(f)-1]}
 		case ".end":
 			flush()

@@ -165,14 +165,24 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 			if rem, ok := run.Remaining(); ok && (mo.Timeout <= 0 || rem < mo.Timeout) {
 				mo.Timeout = rem
 			}
-			mm, merr := fsm.Minimize(machine, mo)
+			// The run's conflict budget caps each solve one past what is
+			// left of it, so a solve that would overrun the budget stops
+			// there instead of running to MeMin's own budget.
+			if lim := run.ConflictLimit(0); lim > 0 {
+				if left := lim - run.Conflicts() + 1; mo.ConflictBudget <= 0 || left < mo.ConflictBudget {
+					mo.ConflictBudget = left
+				}
+			}
+			mm, conflicts, merr := fsm.Minimize(machine, mo)
+			ss.SATConflicts += conflicts
+			run.AddConflicts(conflicts)
 			if merr != nil {
 				return fmt.Errorf("core: state minimization failed: %w", merr)
 			}
 			machine = mm
 			statesMin = mm.NumStates()
 			ss.StatesOut = statesMin
-			return nil
+			return run.Check()
 		},
 			Snapshot: func() ([]byte, error) { return EncodeMachine(machine, statesMin) },
 			Restore: func(data []byte, ss *pipeline.StageStats) error {

@@ -463,7 +463,7 @@ func foldClusterFunctionally(g *aig.Graph, T, m int, cluster []int, opt HybridOp
 		if mo.MaxAtoms <= 0 || mo.MaxAtoms > 512 {
 			mo.MaxAtoms = 512
 		}
-		if mm, merr := fsm.Minimize(machine, mo); merr == nil {
+		if mm, _, merr := fsm.Minimize(machine, mo); merr == nil {
 			machine = mm
 		}
 	}

@@ -161,7 +161,7 @@ func Table3Entry(name string, T int, opt Table3Options) (Table3Row, error) {
 		}
 		variants := []variant{{machine, -1, false}}
 		mstart := time.Now()
-		if mm, merr := fsm.Minimize(machine, fsm.MinimizeOptions{
+		if mm, conflicts, merr := fsm.Minimize(machine, fsm.MinimizeOptions{
 			MaxAtoms:       2048,
 			ConflictBudget: 200000,
 			Timeout:        opt.MinimizeTimeout,
@@ -172,7 +172,7 @@ func Table3Entry(name string, T int, opt Table3Options) (Table3Row, error) {
 				Name: pipeline.StageMinimize, Start: rep.Total,
 				Duration: time.Since(mstart),
 				StatesIn: states, StatesOut: mm.NumStates(),
-				AndsIn: -1, AndsOut: -1, BDDNodes: -1,
+				AndsIn: -1, AndsOut: -1, BDDNodes: -1, SATConflicts: conflicts,
 			})
 		}
 		minTime := time.Since(mstart)

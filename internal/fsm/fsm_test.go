@@ -128,7 +128,7 @@ func covers(t *testing.T, orig, min *Machine, trials, length int, seed int64) {
 
 func TestMinimizeRedundant(t *testing.T) {
 	m := redundantLastBit()
-	mm, err := Minimize(m, DefaultMinimizeOptions())
+	mm, _, err := Minimize(m, DefaultMinimizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMinimizeRedundant(t *testing.T) {
 
 func TestMinimizeAlreadyMinimal(t *testing.T) {
 	m := lastBit()
-	mm, err := Minimize(m, DefaultMinimizeOptions())
+	mm, _, err := Minimize(m, DefaultMinimizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMinimizeExploitsDontCares(t *testing.T) {
 			{{Cond: x, Out: []Tri{Zero}, Dst: 1}, {Cond: nx, Out: []Tri{X}, Dst: 0}},
 		},
 	}
-	mm, err := Minimize(m, DefaultMinimizeOptions())
+	mm, _, err := Minimize(m, DefaultMinimizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestMinimizeIncompatibleStates(t *testing.T) {
 			{{Cond: bdd.True, Out: []Tri{One, Zero}, Dst: 0}},
 		},
 	}
-	mm, err := Minimize(m, DefaultMinimizeOptions())
+	mm, _, err := Minimize(m, DefaultMinimizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMinimizeDontCareDestination(t *testing.T) {
 			{{Cond: bdd.True, Out: []Tri{One}, Dst: DontCare}},
 		},
 	}
-	mm, err := Minimize(m, DefaultMinimizeOptions())
+	mm, _, err := Minimize(m, DefaultMinimizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

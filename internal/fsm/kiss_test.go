@@ -138,7 +138,7 @@ func TestKISSMinimizeInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := Minimize(back, DefaultMinimizeOptions())
+	mm, _, err := Minimize(back, DefaultMinimizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

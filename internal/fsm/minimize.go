@@ -55,8 +55,10 @@ func DefaultMinimizeOptions() MinimizeOptions {
 // compatible classes by solving a sequence of SAT instances. It returns
 // the minimized machine. The result covers the original behavior: on any
 // input sequence, wherever the original machine's output is specified the
-// minimized machine agrees.
-func Minimize(m *Machine, opt MinimizeOptions) (*Machine, error) {
+// minimized machine agrees. The second result totals the SAT conflicts
+// of every solve, a failed minimization's included, so callers can charge
+// them to a run's conflict budget.
+func Minimize(m *Machine, opt MinimizeOptions) (*Machine, int64, error) {
 	start := time.Now()
 	var stopErr error
 	deadline := func() bool {
@@ -73,15 +75,15 @@ func Minimize(m *Machine, opt MinimizeOptions) (*Machine, error) {
 	}
 	n := m.NumStates()
 	if n == 0 {
-		return nil, fmt.Errorf("fsm: empty machine")
+		return nil, 0, fmt.Errorf("fsm: empty machine")
 	}
 	if opt.MaxStates > 0 && n > opt.MaxStates {
-		return nil, fmt.Errorf("fsm: %d states exceeds minimization bound %d", n, opt.MaxStates)
+		return nil, 0, fmt.Errorf("fsm: %d states exceeds minimization bound %d", n, opt.MaxStates)
 	}
 	opt.Metrics.Gauge(obs.MFSMStates).Set(int64(n))
 	atoms, err := m.Atoms(opt.MaxAtoms)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	na := len(atoms)
 
@@ -93,7 +95,7 @@ func Minimize(m *Machine, opt MinimizeOptions) (*Machine, error) {
 	for a, atom := range atoms {
 		rep, ok := m.Mgr.AnySat(atom)
 		if !ok {
-			return nil, fmt.Errorf("fsm: empty atom in partition")
+			return nil, 0, fmt.Errorf("fsm: empty atom in partition")
 		}
 		reps[a] = rep
 	}
@@ -145,9 +147,9 @@ func Minimize(m *Machine, opt MinimizeOptions) (*Machine, error) {
 		}
 		if deadline() {
 			if stopErr != nil {
-				return nil, fmt.Errorf("fsm: minimization stopped during compatibility analysis: %w", stopErr)
+				return nil, 0, fmt.Errorf("fsm: minimization stopped during compatibility analysis: %w", stopErr)
 			}
-			return nil, fmt.Errorf("fsm: minimization timeout during compatibility analysis")
+			return nil, 0, fmt.Errorf("fsm: minimization timeout during compatibility analysis")
 		}
 	}
 
@@ -191,32 +193,34 @@ func Minimize(m *Machine, opt MinimizeOptions) (*Machine, error) {
 	if opt.MaxClasses > 0 && opt.MaxClasses < maxK {
 		maxK = opt.MaxClasses
 	}
+	var conflicts int64
 	for k := lower; k <= maxK; k++ {
 		if deadline() {
 			if stopErr != nil {
-				return nil, fmt.Errorf("fsm: minimization stopped at k=%d: %w", k, stopErr)
+				return nil, conflicts, fmt.Errorf("fsm: minimization stopped at k=%d: %w", k, stopErr)
 			}
-			return nil, fmt.Errorf("fsm: minimization timeout at k=%d", k)
+			return nil, conflicts, fmt.Errorf("fsm: minimization timeout at k=%d", k)
 		}
 		if err := fault.Point(fault.PointMeMinIter); err != nil {
-			return nil, fmt.Errorf("fsm: minimization fault at k=%d: %w", k, err)
+			return nil, conflicts, fmt.Errorf("fsm: minimization fault at k=%d: %w", k, err)
 		}
-		mm, status := trySolve(m, atoms, succ, outs, incompat, clique, k, opt)
+		mm, status, c := trySolve(m, atoms, succ, outs, incompat, clique, k, opt)
+		conflicts += c
 		switch status {
 		case sat.Sat:
-			return mm, nil
+			return mm, conflicts, nil
 		case sat.Unknown:
 			if opt.Stop != nil {
 				if err := opt.Stop(); err != nil {
-					return nil, fmt.Errorf("fsm: minimization stopped at k=%d: %w", k, err)
+					return nil, conflicts, fmt.Errorf("fsm: minimization stopped at k=%d: %w", k, err)
 				}
 			}
 			// Out of conflicts or learnt-literal headroom either way:
 			// classify as a resource-limit (and so budget) failure.
-			return nil, fmt.Errorf("fsm: SAT budget exhausted at k=%d: %w", k, sat.ErrResourceLimit)
+			return nil, conflicts, fmt.Errorf("fsm: SAT budget exhausted at k=%d: %w", k, sat.ErrResourceLimit)
 		}
 	}
-	return nil, fmt.Errorf("fsm: no solution up to %d classes", maxK)
+	return nil, conflicts, fmt.Errorf("fsm: no solution up to %d classes", maxK)
 }
 
 // conflictingOutputs reports whether two output rows disagree on a
@@ -234,9 +238,10 @@ func conflictingOutputs(a, b []Tri) bool {
 }
 
 // trySolve encodes "a closed cover with k classes exists" into SAT and
-// extracts the minimized machine when satisfiable.
+// extracts the minimized machine when satisfiable. It also returns the
+// solve's conflict count.
 func trySolve(m *Machine, atoms []bdd.Node, succ [][]int, outs [][][]Tri,
-	incompat [][]bool, clique []int, k int, opt MinimizeOptions) (*Machine, sat.Status) {
+	incompat [][]bool, clique []int, k int, opt MinimizeOptions) (*Machine, sat.Status, int64) {
 	n := m.NumStates()
 	na := len(atoms)
 	sp := opt.Span.Child("memin.iter", "fsm")
@@ -257,6 +262,7 @@ func trySolve(m *Machine, atoms []bdd.Node, succ [][]int, outs [][][]Tri,
 	if opt.Stop != nil {
 		s2.SetInterrupt(func() bool { return opt.Stop() != nil })
 	}
+	s2.Reserve(n*k + k*k*na)
 	// mem[s][i]: state s belongs to class i.
 	mem := make([][]int, n)
 	for s := range mem {
@@ -313,28 +319,40 @@ func trySolve(m *Machine, atoms []bdd.Node, succ [][]int, outs [][][]Tri,
 	// Closure: if state s (with a defined successor under atom a) is in
 	// class i, and class i maps atom a to class j, then succ(s,a) is in
 	// class j. Each (i,a) maps somewhere.
+	//
+	// The clique pins most mem[s][i] false at level 0, which satisfies
+	// nearly all of the k²·atoms·states closure clauses before they are
+	// built. AddClause would drop such a clause without touching the
+	// solver, so skipping it keeps the stored clause database, and with
+	// it the search, exactly as if every clause had been added.
+	somewhere := make([]sat.Lit, k)
 	for i := 0; i < k; i++ {
 		for a := 0; a < na; a++ {
-			cl := make([]sat.Lit, k)
 			for j := 0; j < k; j++ {
-				cl[j] = pos(nxt[i][a][j])
+				somewhere[j] = pos(nxt[i][a][j])
 			}
-			s2.AddClause(cl...)
+			s2.AddClause(somewhere...)
 			for s := 0; s < n; s++ {
-				if succ[s][a] == DontCare {
+				d := succ[s][a]
+				if d == DontCare || s2.RootTrue(neg(mem[s][i])) {
 					continue
 				}
 				for j := 0; j < k; j++ {
-					s2.AddClause(neg(mem[s][i]), neg(nxt[i][a][j]), pos(mem[succ[s][a]][j]))
+					l1, l2 := neg(nxt[i][a][j]), pos(mem[d][j])
+					if s2.RootTrue(l1) || s2.RootTrue(l2) {
+						continue
+					}
+					s2.AddClause(neg(mem[s][i]), l1, l2)
 				}
 			}
 		}
 	}
 
 	status := s2.Solve()
+	conflicts := s2.Stats().Conflicts
 	sp.SetStr("status", status.String())
 	if status != sat.Sat {
-		return nil, status
+		return nil, status, conflicts
 	}
 
 	// Extract the minimized machine.
@@ -423,5 +441,5 @@ func trySolve(m *Machine, atoms []bdd.Node, succ [][]int, outs [][][]Tri,
 		NumOutputs: m.NumOutputs,
 		Initial:    initial,
 		Trans:      trans,
-	}, sat.Sat
+	}, sat.Sat, conflicts
 }

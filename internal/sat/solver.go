@@ -10,6 +10,7 @@ package sat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"circuitfold/internal/fault"
@@ -103,6 +104,14 @@ type Solver struct {
 
 	claInc float64
 
+	// Problem clauses live in slab chunks: AddClause carves each stored
+	// clause and its literals out of the current chunk instead of
+	// allocating two heap objects per clause. Chunks are never
+	// reallocated, so *clause pointers into them stay valid.
+	clauseSlab []clause
+	litSlab    []Lit
+	addBuf     []Lit // AddClause normalization scratch
+
 	ok           bool // false once UNSAT at level 0
 	numConflicts int64
 	budget       int64       // max conflicts per Solve; <=0 means unlimited
@@ -187,6 +196,21 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
+// Reserve pre-grows the per-variable arrays for n more variables, so a
+// caller about to create many variables pays for one allocation per
+// array instead of repeated append growth. It changes no state.
+func (s *Solver) Reserve(n int) {
+	s.assign = slices.Grow(s.assign, n)
+	s.level = slices.Grow(s.level, n)
+	s.reason = slices.Grow(s.reason, n)
+	s.activity = slices.Grow(s.activity, n)
+	s.phase = slices.Grow(s.phase, n)
+	s.seen = slices.Grow(s.seen, n)
+	s.watches = slices.Grow(s.watches, 2*n)
+	s.order.heap = slices.Grow(s.order.heap, n)
+	s.order.index = slices.Grow(s.order.index, n)
+}
+
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assign) }
 
@@ -232,6 +256,16 @@ func (s *Solver) value(l Lit) lbool {
 	return v
 }
 
+// RootTrue reports whether literal l is true at decision level 0, i.e.
+// fixed by the clauses added so far. Assignments made by a search in
+// progress (visible from an interrupt callback) do not count. A clause
+// holding a root-true literal is one AddClause would drop unchanged, so
+// callers building large formulas can skip constructing it.
+func (s *Solver) RootTrue(l Lit) bool {
+	v := l.Var()
+	return s.level[v] == 0 && s.value(l) == lTrue
+}
+
 // AddClause adds a clause over the given literals. It returns false when
 // the formula is already unsatisfiable at level 0.
 func (s *Solver) AddClause(lits ...Lit) bool {
@@ -241,9 +275,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
-	// Sort, dedupe, detect tautology, drop false literals.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Sort, dedupe, detect tautology, drop false literals. A tautology
+	// or a root-satisfied clause returns before any state changes.
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -274,10 +310,35 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.newProblemClause(out)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
+}
+
+// Slab chunk bounds: each new chunk is sized to what is already stored
+// (so total slab capacity grows geometrically), clamped so small solvers
+// stay small and huge ones do not over-reserve.
+const (
+	minSlabClauses = 32
+	maxSlabClauses = 4096
+	minSlabLits    = 128
+	maxSlabLits    = 16384
+)
+
+// newProblemClause copies lits into the literal slab and returns a
+// clause carved from the clause slab.
+func (s *Solver) newProblemClause(lits []Lit) *clause {
+	if len(s.clauseSlab) == cap(s.clauseSlab) {
+		s.clauseSlab = make([]clause, 0, min(max(len(s.clauses), minSlabClauses), maxSlabClauses))
+	}
+	if len(lits) > cap(s.litSlab)-len(s.litSlab) {
+		s.litSlab = make([]Lit, 0, max(min(max(2*cap(s.litSlab), minSlabLits), maxSlabLits), len(lits)))
+	}
+	i := len(s.litSlab)
+	s.litSlab = append(s.litSlab, lits...)
+	s.clauseSlab = append(s.clauseSlab, clause{lits: s.litSlab[i:len(s.litSlab):len(s.litSlab)]})
+	return &s.clauseSlab[len(s.clauseSlab)-1]
 }
 
 func (s *Solver) attach(c *clause) {
