@@ -57,14 +57,16 @@ serve-smoke:
 
 # fuzz-smoke runs each fuzzer past its seed corpus for 10 s: the BDD
 # kernel against truth tables, the degradation ladder under injected
-# faults, the machine checkpoint decoder against arbitrary blobs, and
-# the uploaded-netlist readers (aag, blif, bench) against arbitrary text.
+# faults, the machine checkpoint decoder against arbitrary blobs, the
+# uploaded-netlist readers (aag, blif, bench) against arbitrary text,
+# and state encoding against its per-transition reference.
 # go test -fuzz takes one target per package, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBDDOps$$' -fuzztime 10s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldResilient$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMachine$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNetlist$$' -fuzztime 10s ./internal/cio
+	$(GO) test -run '^$$' -fuzz '^FuzzEncode$$' -fuzztime 10s ./internal/fsm
 
 # chaos is the crash-safety gate, under the race detector: 20 rounds of
 # recover -> submit -> kill over one persistent journal + checkpoint
@@ -86,11 +88,11 @@ chaos:
 bench:
 	$(GO) run ./cmd/bench -out BENCH_sweep.json -pipeout BENCH_pipeline.json -bddout BENCH_bdd.json -serveout BENCH_serve.json -tputout BENCH_throughput.json
 
-# bench-go runs the Go benchmark suite for the sweeping engine, MeMin
-# state minimization on the table3-functional machines, and the BDD
-# kernel.
+# bench-go runs the Go benchmark suite for the sweeping engine, the
+# functional engine's tff, MeMin and encode stages on table3-functional
+# machines, and the BDD kernel.
 bench-go:
-	$(GO) test . -run XXX -bench 'BenchmarkSweep|BenchmarkSimWordsW|BenchmarkMinimizeTable3' -benchmem
+	$(GO) test . -run XXX -bench 'BenchmarkSweep|BenchmarkSimWordsW|BenchmarkTFFTable3|BenchmarkMinimizeTable3|BenchmarkEncodeTable3' -benchmem
 	$(GO) test ./internal/bdd -run XXX -bench 'BenchmarkBDD' -benchmem
 
 # bench-bdd-smoke runs every BDD kernel benchmark once under the race

@@ -487,6 +487,68 @@ func BenchmarkMinimizeTable3(b *testing.B) {
 	}
 }
 
+// table3EngineCases are the heavy table3-functional configurations the
+// tff and encode benchmarks time (reordering off).
+var table3EngineCases = []struct {
+	circuit string
+	T       int
+	encs    []fsm.StateEncoding
+}{
+	{"i7", 16, []fsm.StateEncoding{fsm.NaturalBinary}},
+	{"toolarge", 16, []fsm.StateEncoding{fsm.NaturalBinary, fsm.OneHotState}},
+	{"toolarge", 8, []fsm.StateEncoding{fsm.NaturalBinary, fsm.OneHotState}},
+	{"apex2", 4, []fsm.StateEncoding{fsm.OneHotState}},
+	{"arbiter", 16, []fsm.StateEncoding{fsm.NaturalBinary, fsm.OneHotState}},
+	{"64-adder", 16, []fsm.StateEncoding{fsm.NaturalBinary, fsm.OneHotState}},
+}
+
+// BenchmarkTFFTable3 times core.TimeFrameFold alone (output-BDD build,
+// per-frame cofactor refinement and merge, one worker) on the scheduled
+// circuits of table3EngineCases.
+func BenchmarkTFFTable3(b *testing.B) {
+	for _, c := range table3EngineCases {
+		b.Run(fmt.Sprintf("%s/T=%d", c.circuit, c.T), func(b *testing.B) {
+			g := gen.MustBuild(c.circuit)
+			sched, err := core.PinSchedule(g, c.T, core.ScheduleOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.TimeFrameFold(g, sched, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeTable3 times fsm.Encode alone on the time-frame folded
+// machines of table3EngineCases, per state encoding.
+func BenchmarkEncodeTable3(b *testing.B) {
+	for _, c := range table3EngineCases {
+		for _, enc := range c.encs {
+			b.Run(fmt.Sprintf("%s/T=%d/%s", c.circuit, c.T, enc), func(b *testing.B) {
+				g := gen.MustBuild(c.circuit)
+				sched, err := core.PinSchedule(g, c.T, core.ScheduleOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				machine, _, err := core.TimeFrameFold(g, sched, 1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := fsm.Encode(machine, enc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // --- sweeping engine benches --------------------------------------------
 
 // sweepBenchGraph is the shared workload of the BenchmarkSweep* family: a

@@ -100,17 +100,62 @@ type Graph struct {
 	piNames []string
 	poNames []string
 
-	strash map[[2]Lit]int
+	// strash is the structural-hashing table: AND node ids keyed by
+	// their ordered fanin pair, flat open addressing like the BDD unique
+	// table (power-of-two size, linear probing, at most 50% load, 0 =
+	// empty slot — node 0 is the constant, never an AND).
+	strash     []int32
+	strashUsed int
 }
+
+// minStrashSlots is the initial strash table capacity.
+const minStrashSlots = 256
 
 // New returns an empty graph containing only the constant node.
 func New() *Graph {
 	g := &Graph{
 		nodes:  make([]node, 1, 256),
-		strash: make(map[[2]Lit]int),
+		strash: make([]int32, minStrashSlots),
 	}
 	g.nodes[0] = node{kind: kindConst}
 	return g
+}
+
+// strashHash mixes an ordered fanin pair into a table hash.
+func strashHash(a, b Lit) uint64 {
+	h := uint64(a)<<32 | uint64(b)
+	h *= 0x9e3779b97f4a7c15
+	h ^= h >> 29
+	h *= 0x94d049bb133111eb
+	h ^= h >> 32
+	return h
+}
+
+// strashSlot returns the table slot holding the AND of (a, b), or the
+// empty slot where it belongs.
+func (g *Graph) strashSlot(a, b Lit) uint64 {
+	mask := uint64(len(g.strash) - 1)
+	i := strashHash(a, b) & mask
+	for {
+		id := g.strash[i]
+		if id == 0 {
+			return i
+		}
+		if n := &g.nodes[id]; n.fan0 == a && n.fan1 == b {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// growStrash doubles the table and reinserts every AND in id order.
+func (g *Graph) growStrash() {
+	g.strash = make([]int32, 2*len(g.strash))
+	for id := range g.nodes {
+		if n := &g.nodes[id]; n.kind == kindAnd {
+			g.strash[g.strashSlot(n.fan0, n.fan1)] = int32(id)
+		}
+	}
 }
 
 // NumNodes returns the total number of nodes, including the constant node
@@ -228,9 +273,9 @@ func (g *Graph) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	key := [2]Lit{a, b}
-	if id, ok := g.strash[key]; ok {
-		return MkLit(id, false)
+	slot := g.strashSlot(a, b)
+	if id := g.strash[slot]; id != 0 {
+		return MkLit(int(id), false)
 	}
 	id := len(g.nodes)
 	lvl := g.nodes[a.Node()].level
@@ -238,7 +283,10 @@ func (g *Graph) And(a, b Lit) Lit {
 		lvl = l1
 	}
 	g.nodes = append(g.nodes, node{kind: kindAnd, fan0: a, fan1: b, level: lvl + 1})
-	g.strash[key] = id
+	g.strash[slot] = int32(id)
+	if g.strashUsed++; 2*g.strashUsed > len(g.strash) {
+		g.growStrash()
+	}
 	return MkLit(id, false)
 }
 
@@ -394,15 +442,13 @@ func (g *Graph) FanoutCounts() []int {
 // Copy returns a deep copy of the graph.
 func (g *Graph) Copy() *Graph {
 	ng := &Graph{
-		nodes:   append([]node(nil), g.nodes...),
-		pis:     append([]int(nil), g.pis...),
-		pos:     append([]Lit(nil), g.pos...),
-		piNames: append([]string(nil), g.piNames...),
-		poNames: append([]string(nil), g.poNames...),
-		strash:  make(map[[2]Lit]int, len(g.strash)),
-	}
-	for k, v := range g.strash {
-		ng.strash[k] = v
+		nodes:      append([]node(nil), g.nodes...),
+		pis:        append([]int(nil), g.pis...),
+		pos:        append([]Lit(nil), g.pos...),
+		piNames:    append([]string(nil), g.piNames...),
+		poNames:    append([]string(nil), g.poNames...),
+		strash:     append([]int32(nil), g.strash...),
+		strashUsed: g.strashUsed,
 	}
 	return ng
 }

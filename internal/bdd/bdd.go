@@ -125,7 +125,7 @@ type Manager struct {
 	epoch   uint32
 	stack   []Node // scratch stack for iterative traversals
 
-	// transMemo is Translate's epoch-guarded result memo, parallel to
+	// transMemo is the Translator memo, epoch-guarded and parallel to
 	// visited; scratch, so Clone does not copy it.
 	transMemo []Node
 

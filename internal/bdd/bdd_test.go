@@ -535,18 +535,36 @@ func TestSiftSymmetricPreservesFunctions(t *testing.T) {
 	}
 }
 
+// TestTranslate checks a Translator across calls: its memo survives
+// growth of the source arena, a memo hit creates no node, and another
+// traversal of the source restarts the memo without changing results.
 func TestTranslate(t *testing.T) {
 	src := New(3)
 	f := src.Or(src.And(src.Var(0), src.Var(1)), src.Var(2))
 	dst := New(6)
-	vm := map[int]int{0: 3, 1: 4, 2: 5}
-	g := src.Translate(dst, f, vm)
-	for v := 0; v < 8; v++ {
-		sa := []bool{v&1 == 1, v&2 == 2, v&4 == 4}
-		da := []bool{false, false, false, sa[0], sa[1], sa[2]}
-		if src.Eval(f, sa) != dst.Eval(g, da) {
-			t.Fatalf("translate differs at %d", v)
+	tr := NewTranslator(src, dst, []int{3, 4, 5})
+	check := func(f, g Node) {
+		t.Helper()
+		for v := 0; v < 8; v++ {
+			sa := []bool{v&1 == 1, v&2 == 2, v&4 == 4}
+			da := []bool{false, false, false, sa[0], sa[1], sa[2]}
+			if src.Eval(f, sa) != dst.Eval(g, da) {
+				t.Fatalf("translate differs at %d", v)
+			}
 		}
+	}
+	g := tr.Translate(f)
+	check(f, g)
+	h := src.Xor(f, src.Var(1)) // grows the source arena
+	gh := tr.Translate(h)
+	check(h, gh)
+	n := dst.NumNodes()
+	if tr.Translate(src.Not(h)) != dst.Not(gh) || dst.NumNodes() != n {
+		t.Fatal("memo hit on a translated node changed the result or created nodes")
+	}
+	src.NodeCount(f) // another traversal invalidates the memo
+	if tr.Translate(f) != g || tr.Translate(h) != gh || dst.NumNodes() != n {
+		t.Fatal("re-translation after a source traversal differs")
 	}
 }
 

@@ -384,43 +384,74 @@ func (m *Manager) siftBlock(roots []Node, block []int, loLevel, hiLevel, cur int
 	return bestSize
 }
 
-// Translate rebuilds f (a function in m) inside dst, renaming each source
-// variable v to varMap[v]. It uses Ite, so it is correct for any target
-// order, and linear when the mapping preserves relative order.
-// Translation commutes with complement (both managers use complement
-// edges), so the memo keys on regular edges and polarity is reapplied
-// on the way out.
-func (m *Manager) Translate(dst *Manager, f Node, varMap map[int]int) Node {
-	// The memo rides the manager's epoch-marked scratch (visited plus a
-	// parallel result array) instead of a per-call map — Translate runs
-	// once per transition during the fold merge, so map churn was
-	// measurable there.
-	m.beginVisit()
+// Translator rebuilds functions of a source manager inside a
+// destination manager, renaming each source variable v to varMap[v]
+// (a negative entry, or a variable past the end of varMap, is unmapped
+// and must not occur in a translated support). It uses Ite, so it is
+// correct for any target order, and linear when the mapping preserves
+// relative order. Translation commutes with complement (both managers
+// use complement edges), so the memo keys on regular edges and
+// polarity is reapplied on the way out.
+//
+// The memo rides the source manager's epoch-marked scratch (visited
+// plus a parallel result array) and persists across Translate calls
+// until the source manager starts another traversal, so translating
+// many functions that share sub-BDDs visits each shared node once.
+// Re-translating a node already built in dst creates no node, so a
+// memo hit leaves dst's layout exactly as a fresh walk would. dst must
+// be a different manager and must not be garbage-collected while the
+// translator is in use.
+type Translator struct {
+	src, dst *Manager
+	varMap   []int
+	epoch    uint32 // src traversal epoch the memo belongs to; 0 = none
+}
+
+// NewTranslator returns a translator from src into dst under varMap.
+func NewTranslator(src, dst *Manager, varMap []int) *Translator {
+	return &Translator{src: src, dst: dst, varMap: varMap}
+}
+
+// Translate returns f (a function in the source manager) rebuilt in the
+// destination manager.
+func (t *Translator) Translate(f Node) Node {
+	m := t.src
+	if t.epoch == 0 || m.epoch != t.epoch {
+		m.beginVisit()
+		t.epoch = m.epoch
+	}
 	if len(m.transMemo) < len(m.nodes) {
-		m.transMemo = make([]Node, len(m.nodes))
+		memo := make([]Node, len(m.nodes), cap(m.nodes))
+		copy(memo, m.transMemo)
+		m.transMemo = memo
 	}
-	var rec func(n Node) Node
-	rec = func(n Node) Node {
-		if n == False || n == True {
-			return n
-		}
-		if n&1 != 0 {
-			return rec(n^1) ^ 1
-		}
-		if m.visited[n>>1] == m.epoch {
-			return m.transMemo[n>>1]
-		}
-		v, ok := varMap[m.TopVar(n)]
-		if !ok {
-			panic("bdd: Translate: unmapped variable in support")
-		}
-		nr := m.nodes[n>>1]
-		r := dst.Ite(dst.Var(v), rec(nr.hi), rec(nr.lo))
-		m.visited[n>>1] = m.epoch
-		m.transMemo[n>>1] = r
-		return r
+	return t.rec(f)
+}
+
+func (t *Translator) rec(n Node) Node {
+	if n == False || n == True {
+		return n
 	}
-	return rec(f)
+	if n&1 != 0 {
+		return t.rec(n^1) ^ 1
+	}
+	m := t.src
+	i := n >> 1
+	if m.visited[i] == t.epoch {
+		return m.transMemo[i]
+	}
+	nr := m.nodes[i]
+	v := -1
+	if sv := m.varAtLevel[nr.level]; sv < len(t.varMap) {
+		v = t.varMap[sv]
+	}
+	if v < 0 {
+		panic("bdd: Translate: unmapped variable in support")
+	}
+	r := t.dst.Ite(t.dst.Var(v), t.rec(nr.hi), t.rec(nr.lo))
+	m.visited[i] = t.epoch
+	m.transMemo[i] = r
+	return r
 }
 
 // Cube returns the conjunction of the given variables with the given

@@ -15,13 +15,57 @@ import (
 // error family.
 var errBudget = fmt.Errorf("core: BDD node budget exceeded: %w", bdd.ErrNodeLimit)
 
+// buildGCFloor is the smallest unique-table population at which
+// buildOutputBDDs collects: below it a GC costs more than the dead
+// nodes it frees.
+const buildGCFloor = 16384
+
 // buildOutputBDDs constructs BDDs for the given output literals of g in
 // mgr, mapping PI index i to manager variable varOfPI[i]. A varOfPI entry
 // of -1 marks an input that must not occur in the supports. The build
 // aborts with errBudget when the manager grows past nodeBudget (0 = no
 // limit) and with the run's typed error when the run is cancelled or
 // past its deadline (nil run = never).
+//
+// Intermediate BDDs are collected as the build goes: each AIG node's
+// fanouts within the roots' cone (a root counts as one) are counted up
+// front and released as its parents are built, and whenever the unique
+// table passes max(2·live, buildGCFloor) entries — live being the
+// previous collection's survivors — mgr.GC runs over the BDDs still
+// referenced and the outputs built so far. GC preserves the identity of
+// every surviving node, so the returned BDDs are the same canonical
+// nodes a collection-free build would return. Both passes walk the AIG
+// with explicit stacks, so a deep circuit costs heap, not goroutine
+// stack.
 func buildOutputBDDs(g *aig.Graph, mgr *bdd.Manager, varOfPI []int, roots []aig.Lit, nodeBudget int, run *pipeline.Run) ([]bdd.Node, error) {
+	// refs[id] counts id's uses within the cone: fanin edges of cone
+	// ANDs plus root occurrences. cone lists the cone's nodes.
+	refs := make([]int32, g.NumNodes())
+	var cone []int
+	stack := make([]int, 0, 64)
+	for _, root := range roots {
+		id := root.Node()
+		if refs[id]++; refs[id] > 1 || id == 0 {
+			continue
+		}
+		cone = append(cone, id)
+		stack = append(stack, id)
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !g.IsAnd(n) {
+				continue
+			}
+			f0, f1 := g.Fanins(n)
+			for _, c := range [2]int{f0.Node(), f1.Node()} {
+				if refs[c]++; refs[c] == 1 && c != 0 {
+					cone = append(cone, c)
+					stack = append(stack, c)
+				}
+			}
+		}
+	}
+
 	// AIG node id -> BDD of its positive literal. Ids are dense, so a
 	// flat slice beats a map on this hot path; -1 marks "not built"
 	// (every real node value is >= 0, bdd.False included).
@@ -30,59 +74,76 @@ func buildOutputBDDs(g *aig.Graph, mgr *bdd.Manager, varOfPI []int, roots []aig.
 		memo[i] = -1
 	}
 	memo[0] = bdd.False
-	built := 0
-	var build func(id int) (bdd.Node, error)
-	build = func(id int) (bdd.Node, error) {
-		if r := memo[id]; r >= 0 {
-			return r, nil
+	out := make([]bdd.Node, len(roots))
+	built, live := 0, 0
+	var gcRoots []bdd.Node
+	collect := func(done int) {
+		gcRoots = append(gcRoots[:0], out[:done]...)
+		for _, id := range cone {
+			if refs[id] > 0 && memo[id] >= 0 {
+				gcRoots = append(gcRoots, memo[id])
+			}
 		}
-		var r bdd.Node
-		if pi := g.PIIndex(id); pi >= 0 {
-			v := varOfPI[pi]
-			if v < 0 {
-				return bdd.False, fmt.Errorf("core: PI %d not mapped to a BDD variable", pi)
+		live = mgr.GC(gcRoots)
+	}
+	// lit returns the BDD of a built literal and releases one use of its
+	// node.
+	lit := func(l aig.Lit) bdd.Node {
+		id := l.Node()
+		r := memo[id]
+		if id != 0 {
+			refs[id]--
+		}
+		if l.Compl() {
+			r = mgr.Not(r)
+		}
+		return r
+	}
+	for i, root := range roots {
+		// Post-order over the root's unbuilt cone: a node is built once
+		// both fanins are, fanin 0's subtree first — the visiting order
+		// of a recursive build.
+		stack = append(stack[:0], root.Node())
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			if memo[id] >= 0 {
+				stack = stack[:len(stack)-1]
+				continue
 			}
-			r = mgr.Var(v)
-		} else {
+			if pi := g.PIIndex(id); pi >= 0 {
+				v := varOfPI[pi]
+				if v < 0 {
+					return nil, fmt.Errorf("core: PI %d not mapped to a BDD variable", pi)
+				}
+				memo[id] = mgr.Var(v)
+				stack = stack[:len(stack)-1]
+				continue
+			}
 			f0, f1 := g.Fanins(id)
-			b0, err := build(f0.Node())
-			if err != nil {
-				return bdd.False, err
+			if memo[f0.Node()] < 0 {
+				stack = append(stack, f0.Node())
+				continue
 			}
-			if f0.Compl() {
-				b0 = mgr.Not(b0)
+			if memo[f1.Node()] < 0 {
+				stack = append(stack, f1.Node())
+				continue
 			}
-			b1, err := build(f1.Node())
-			if err != nil {
-				return bdd.False, err
-			}
-			if f1.Compl() {
-				b1 = mgr.Not(b1)
-			}
-			r = mgr.And(b0, b1)
+			stack = stack[:len(stack)-1]
+			memo[id] = mgr.And(lit(f0), lit(f1))
 			if nodeBudget > 0 && mgr.NumNodes() > nodeBudget {
-				return bdd.False, errBudget
+				return nil, errBudget
 			}
 			if built++; built&0xff == 0 {
 				run.NoteBDDNodes(mgr.NumNodes())
 				if err := run.Check(); err != nil {
-					return bdd.False, fmt.Errorf("core: BDD construction aborted: %w", err)
+					return nil, fmt.Errorf("core: BDD construction aborted: %w", err)
 				}
 			}
+			if used := mgr.Stats().UniqueUsed; used > 2*live && used > buildGCFloor {
+				collect(i)
+			}
 		}
-		memo[id] = r
-		return r, nil
-	}
-	out := make([]bdd.Node, len(roots))
-	for i, root := range roots {
-		b, err := build(root.Node())
-		if err != nil {
-			return nil, err
-		}
-		if root.Compl() {
-			b = mgr.Not(b)
-		}
-		out[i] = b
+		out[i] = lit(root)
 	}
 	return out, nil
 }

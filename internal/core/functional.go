@@ -402,7 +402,10 @@ func TimeFrameFold(g *aig.Graph, sched *Schedule, workers int, run *pipeline.Run
 			return abort(t, err)
 		}
 		cut := (t + 1) * m
-		varMap := make(map[int]int, m)
+		varMap := make([]int, cut)
+		for v := range varMap {
+			varMap[v] = -1
+		}
 		for j := 0; j < m; j++ {
 			varMap[t*m+j] = j
 		}
@@ -484,16 +487,24 @@ func TimeFrameFold(g *aig.Graph, sched *Schedule, workers int, run *pipeline.Run
 
 		// Sequential merge in state order. Conditions translate into the
 		// machine's manager from the arena of the worker that owns the
-		// state; the cmgr layout depends only on the translated functions
-		// and their order, both of which are worker-count-invariant.
+		// state, through one translator per arena for the whole frame, so
+		// a sub-BDD shared by many cells is walked once. The cmgr layout
+		// depends only on the translated functions and their order, both
+		// of which are worker-count-invariant (a memo hit skips only a
+		// walk that would create no node).
 		nextIndex := make(map[string]int)
 		var nextStates []foldState
 		nextBase := curBase + len(cur)
+		trs := make([]*bdd.Translator, workers)
 		for si := range cur {
-			owner := wmgrs[0]
+			w := 0
 			if cloned {
-				owner = wmgrs[si%workers]
+				w = si % workers
 			}
+			if trs[w] == nil {
+				trs[w] = bdd.NewTranslator(wmgrs[w], cmgr, varMap)
+			}
+			owner := trs[w]
 			for _, c := range results[si] {
 				dst := fsm.DontCare
 				if t+1 < T {
@@ -506,7 +517,7 @@ func TimeFrameFold(g *aig.Graph, sched *Schedule, workers int, run *pipeline.Run
 					}
 					dst = nextBase + id
 				}
-				cond := owner.Translate(cmgr, c.cond, varMap)
+				cond := owner.Translate(c.cond)
 				trans[curBase+si] = append(trans[curBase+si], fsm.Transition{
 					Cond: cond, Out: c.outs, Dst: dst,
 				})
@@ -568,17 +579,20 @@ type foldCell struct {
 	next []bdd.Node
 }
 
-// frameRefiner bundles the read-only per-frame context shared by all
-// workers refining that frame.
 // workerScratch is one worker's private refinement state: the
 // decomposition memo (keyed by component node and cut level) plus the
-// reusable decomposeAtCut buffers. Everything in it references the
-// worker's own arena.
+// reusable decomposeAtCut buffers and refineState's cell slab and
+// per-round emit flags. Everything in it references the worker's own
+// arena.
 type workerScratch struct {
-	memo map[[2]int][]decomposition
-	dec  *decompScratch
+	memo  map[[2]int][]decomposition
+	dec   *decompScratch
+	slab  []refineCell
+	emits []bool
 }
 
+// frameRefiner bundles the read-only per-frame context shared by all
+// workers refining that frame.
 type frameRefiner struct {
 	sched      *Schedule
 	run        *pipeline.Run
@@ -599,6 +613,11 @@ type frameRefiner struct {
 // a budget/cancellation signal from the run or an injected fault;
 // bdd.ErrNodeLimit unwinds as a panic and is caught at the worker
 // boundary (parallel) or the pipeline stage boundary (sequential).
+//
+// Each refinement round records only (cond, parent, leaf) per cell in
+// the worker's slab; the cells' output and next-state tuples are
+// materialized once, for the cells that survive every round, by
+// walking their parent chains back through the rounds.
 func (fr *frameRefiner) refineState(wm *bdd.Manager, ws *workerScratch, st foldState) ([]foldCell, error) {
 	if err := fault.Point(fault.PointTFFFrameWorker); err != nil {
 		return nil, err
@@ -606,8 +625,11 @@ func (fr *frameRefiner) refineState(wm *bdd.Manager, ws *workerScratch, st foldS
 	if err := fr.run.Check(); err != nil {
 		return nil, err
 	}
-	cells := []foldCell{{cond: bdd.True, outs: makeX(fr.mOut)}}
-	var scratch []foldCell // ping-pong buffer reused across refinement rounds
+	// Each round appends its cells to slab; the initial cell (True, no
+	// outputs, no next-state components) is parent -1.
+	slab := ws.slab[:0]
+	emits := ws.emits[:0]
+	prevLo, prevHi := -1, 0 // parent range of the current round
 	for ci, w := range fr.poList {
 		branches, ok := ws.memo[[2]int{int(st.comps[ci]), fr.cut}]
 		if !ok {
@@ -615,16 +637,18 @@ func (fr *frameRefiner) refineState(wm *bdd.Manager, ws *workerScratch, st foldS
 			ws.memo[[2]int{int(st.comps[ci]), fr.cut}] = branches
 		}
 		emit := fr.sched.FrameOfPO[w] == fr.frame // output produced this frame
-		if len(cells)*len(branches) > 64 {
+		emits = append(emits, emit)
+		if (prevHi-prevLo)*len(branches) > 64 {
 			if err := fr.run.Check(); err != nil {
 				return nil, err
 			}
 		}
-		refined := scratch[:0]
-		if need := len(cells) * len(branches); cap(refined) < need {
-			refined = make([]foldCell, 0, need)
-		}
-		for _, c := range cells {
+		lo := len(slab)
+		for p := prevLo; p < prevHi; p++ {
+			pc := bdd.True
+			if p >= 0 {
+				pc = slab[p].cond
+			}
 			for _, br := range branches {
 				// The first refinement rounds mostly intersect with True
 				// (the initial cell, single-branch decompositions); skip
@@ -632,38 +656,23 @@ func (fr *frameRefiner) refineState(wm *bdd.Manager, ws *workerScratch, st foldS
 				var nc bdd.Node
 				switch {
 				case br.cond == bdd.True:
-					nc = c.cond
-				case c.cond == bdd.True:
+					nc = pc
+				case pc == bdd.True:
 					nc = br.cond
 				default:
-					nc = wm.And(c.cond, br.cond)
+					nc = wm.And(pc, br.cond)
 				}
 				if nc == bdd.False {
 					continue
 				}
-				cellOuts := c.outs
-				cellNext := c.next
-				if emit {
-					cellOuts = make([]fsm.Tri, len(c.outs))
-					copy(cellOuts, c.outs)
-					switch br.leaf {
-					case bdd.True:
-						cellOuts[fr.pinOf[w]] = fsm.One
-					case bdd.False:
-						cellOuts[fr.pinOf[w]] = fsm.Zero
-					default:
-						return nil, fmt.Errorf("core: output %d not terminal at its frame", w)
-					}
-				} else {
-					cellNext = make([]bdd.Node, len(c.next)+1)
-					copy(cellNext, c.next)
-					cellNext[len(c.next)] = br.leaf
+				if emit && br.leaf != bdd.True && br.leaf != bdd.False {
+					return nil, fmt.Errorf("core: output %d not terminal at its frame", w)
 				}
-				refined = append(refined, foldCell{cond: nc, outs: cellOuts, next: cellNext})
+				slab = append(slab, refineCell{cond: nc, parent: int32(p), leaf: br.leaf})
 			}
 		}
-		cells, scratch = refined, cells
-		if len(cells) > 4*fr.maxStates {
+		prevLo, prevHi = lo, len(slab)
+		if prevHi-prevLo > 4*fr.maxStates {
 			return nil, fmt.Errorf("core: transition refinement exceeds bound %d at frame %d: %w",
 				4*fr.maxStates, fr.frame+1, pipeline.ErrBudgetExceeded)
 		}
@@ -671,7 +680,54 @@ func (fr *frameRefiner) refineState(wm *bdd.Manager, ws *workerScratch, st foldS
 			return nil, errBudget
 		}
 	}
+	ws.slab, ws.emits = slab, emits
+
+	if prevLo < 0 { // no pending outputs: the one initial cell
+		return []foldCell{{cond: bdd.True, outs: makeX(fr.mOut)}}, nil
+	}
+	nNext := 0
+	for _, e := range emits {
+		if !e {
+			nNext++
+		}
+	}
+	n := prevHi - prevLo
+	cells := make([]foldCell, n)
+	outs := make([]fsm.Tri, n*fr.mOut)
+	for i := range outs {
+		outs[i] = fsm.X
+	}
+	next := make([]bdd.Node, n*nNext)
+	for i := range cells {
+		o := outs[i*fr.mOut : (i+1)*fr.mOut : (i+1)*fr.mOut]
+		nx := next[i*nNext : (i+1)*nNext : (i+1)*nNext]
+		p := prevLo + i
+		k := nNext
+		for r := len(emits) - 1; r >= 0; r-- {
+			c := slab[p]
+			if emits[r] {
+				o[fr.pinOf[fr.poList[r]]] = fsm.Zero
+				if c.leaf == bdd.True {
+					o[fr.pinOf[fr.poList[r]]] = fsm.One
+				}
+			} else {
+				k--
+				nx[k] = c.leaf
+			}
+			p = int(c.parent)
+		}
+		cells[i] = foldCell{cond: slab[prevLo+i].cond, outs: o, next: nx}
+	}
 	return cells, nil
+}
+
+// refineCell is one cell of a refinement round: its condition, the
+// index of the cell it refines in the previous round (-1 for the
+// initial cell), and the decomposition leaf it took.
+type refineCell struct {
+	cond   bdd.Node
+	parent int32
+	leaf   bdd.Node
 }
 
 func makeX(n int) []fsm.Tri {

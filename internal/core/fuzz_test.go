@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"circuitfold/internal/bdd"
 	"circuitfold/internal/core"
 	"circuitfold/internal/gen"
 )
@@ -55,10 +56,11 @@ func FuzzDecodeMachine(f *testing.F) {
 			m2.Initial != m.Initial || m2.NumStates() != m.NumStates() {
 			t.Fatal("re-encoded machine changed shape")
 		}
-		ident := make(map[int]int, m.NumInputs)
-		for v := 0; v < m.NumInputs; v++ {
+		ident := make([]int, m.NumInputs)
+		for v := range ident {
 			ident[v] = v
 		}
+		back := bdd.NewTranslator(m2.Mgr, m.Mgr, ident)
 		for s, ts := range m.Trans {
 			if len(m2.Trans[s]) != len(ts) {
 				t.Fatalf("state %d: %d transitions, want %d", s, len(m2.Trans[s]), len(ts))
@@ -68,7 +70,7 @@ func FuzzDecodeMachine(f *testing.F) {
 				if tr2.Dst != tr.Dst || !reflect.DeepEqual(tr2.Out, tr.Out) {
 					t.Fatalf("state %d transition %d changed", s, i)
 				}
-				if m2.Mgr.Translate(m.Mgr, tr2.Cond, ident) != tr.Cond {
+				if back.Translate(tr2.Cond) != tr.Cond {
 					t.Fatalf("state %d transition %d changed condition", s, i)
 				}
 			}

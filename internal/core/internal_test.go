@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
 	"circuitfold/internal/aig"
 	"circuitfold/internal/bdd"
+	"circuitfold/internal/gen"
 	"circuitfold/internal/pipeline"
 )
 
@@ -263,5 +265,98 @@ func TestTimeFrameFoldStateCapTypedError(t *testing.T) {
 		t.Fatal(err)
 	} else if states != 4 {
 		t.Fatalf("states = %d, want 4", states)
+	}
+}
+
+// TestBuildOutputBDDsCollects builds circuits whose dead intermediates
+// pass the collection floor and checks the collected build against a
+// collection-free reference build in a second manager: every output
+// translates to exactly the reference's canonical node.
+func TestBuildOutputBDDsCollects(t *testing.T) {
+	for _, name := range []string{"arbiter", "apex2"} {
+		g := gen.MustBuild(name)
+		n := g.NumPIs()
+		varOf := make([]int, n)
+		for i := range varOf {
+			varOf[i] = i
+		}
+		roots := make([]aig.Lit, g.NumPOs())
+		for i := range roots {
+			roots[i] = g.PO(i)
+		}
+		m := bdd.New(n)
+		got, err := buildOutputBDDs(g, m, varOf, roots, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.Stats().FreeNodes == 0 {
+			t.Fatalf("%s: build never collected (%d arena nodes)", name, m.NumNodes())
+		}
+		ref := bdd.New(n)
+		memo := map[int]bdd.Node{0: bdd.False}
+		var build func(id int) bdd.Node
+		build = func(id int) bdd.Node {
+			if r, ok := memo[id]; ok {
+				return r
+			}
+			var r bdd.Node
+			if pi := g.PIIndex(id); pi >= 0 {
+				r = ref.Var(pi)
+			} else {
+				f0, f1 := g.Fanins(id)
+				b0, b1 := build(f0.Node()), build(f1.Node())
+				if f0.Compl() {
+					b0 = ref.Not(b0)
+				}
+				if f1.Compl() {
+					b1 = ref.Not(b1)
+				}
+				r = ref.And(b0, b1)
+			}
+			memo[id] = r
+			return r
+		}
+		tr := bdd.NewTranslator(m, ref, varOf)
+		for i, root := range roots {
+			want := build(root.Node())
+			if root.Compl() {
+				want = ref.Not(want)
+			}
+			if tr.Translate(got[i]) != want {
+				t.Fatalf("%s output %d differs from the reference build", name, i)
+			}
+		}
+		if m.NumNodes() >= ref.NumNodes() {
+			t.Errorf("%s: collected arena %d nodes, reference %d", name, m.NumNodes(), ref.NumNodes())
+		}
+	}
+}
+
+// TestBuildOutputBDDsDeepChain builds a 1M-deep AND chain under a
+// 32 MiB stack cap: the build walks the AIG with explicit stacks, so
+// depth costs heap, not goroutine stack.
+func TestBuildOutputBDDsDeepChain(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
+	g := aig.New()
+	x := []aig.Lit{g.PI("a"), g.PI("b"), g.PI("c")}
+	acc := x[0]
+	const depth = 1 << 20
+	for i := 0; i < depth; i++ {
+		acc = g.And(acc.NotIf(i%2 == 1), x[i%3])
+	}
+	g.AddPO(acc, "y")
+	m := bdd.New(3)
+	out, err := buildOutputBDDs(g, m, []int{0, 1, 2}, []aig.Lit{acc}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]bool, 3)
+	for v := 0; v < 8; v++ {
+		for i := range in {
+			in[i] = v>>uint(i)&1 == 1
+		}
+		if m.Eval(out[0], in) != g.Eval(in)[0] {
+			t.Fatalf("chain output differs at %03b", v)
+		}
 	}
 }

@@ -91,66 +91,102 @@ func Encode(m *Machine, enc StateEncoding) (*seq.Circuit, error) {
 // encodeViaBDD builds each target function as a BDD over [state bits |
 // inputs] and converts it to AIG logic. It reports ok=false if the
 // working manager exceeds the node budget.
+//
+// The BDDs are synthesized per state rather than per transition: for
+// each source state s, the conditions of its transitions are ORed into
+// G_s,k, the part of target k (next-state bit or output) that fires in
+// s — a small BDD over the inputs only, each condition translated
+// once. The state bits go on top afterwards:
+//
+//   - nat: a mux tree over the code bits, F_k = Ite(x_0, …, …) down to
+//     the leaves G_s,k, with False at unused codes;
+//   - 1hot: under the one-hot invariant only the hot bit selects a
+//     state, so F_k = OR_s x_s ∧ G_s,k, built from the last source state
+//     up as F = Ite(x_s, G_s,k ∨ F, F).
+//
+// The state bits sit above every input in the order, so each Ite is a
+// single node on top of its branches, and the result is the canonical
+// BDD of OR over transitions of (state cube ∧ condition).
 func encodeViaBDD(m *Machine, g *aig.Graph, ins, ffs []aig.Lit, code [][]bool, bits int, enc StateEncoding) (next []aig.Lit, outs []aig.Lit, ok bool) {
+	S := m.NumStates()
 	bm := bdd.New(bits + m.NumInputs)
-	varMap := make(map[int]int, m.NumInputs)
-	for j := 0; j < m.NumInputs; j++ {
+	varMap := make([]int, m.NumInputs)
+	for j := range varMap {
 		varMap[j] = bits + j
 	}
-	condMemo := make(map[bdd.Node]bdd.Node)
-	cond := func(c bdd.Node) bdd.Node {
-		if r, hit := condMemo[c]; hit {
-			return r
-		}
-		r := m.Mgr.Translate(bm, c, varMap)
-		condMemo[c] = r
-		return r
-	}
-	cube := make([]bdd.Node, m.NumStates())
-	for s := range cube {
-		if enc == OneHotState {
-			// Under the one-hot invariant the off bits are redundant;
-			// using only the hot bit keeps the BDDs linear in |S|.
-			cube[s] = bm.Var(s)
-			continue
-		}
-		c := bdd.True
-		for b := 0; b < bits; b++ {
-			v := bm.Var(b)
-			if !code[s][b] {
-				v = bm.NVar(b)
+	tr := bdd.NewTranslator(m.Mgr, bm, varMap)
+	nf := bits + m.NumOutputs // targets: next-state bits, then outputs
+	// fire ORs state s's transition conditions into row, G_s,k for
+	// target k; touched lists the targets it made non-False. The caller
+	// consumes those entries and resets them to False.
+	row := make([]bdd.Node, nf)
+	var touched []int
+	fire := func(s int) {
+		touched = touched[:0]
+		or := func(k int, c bdd.Node) {
+			if row[k] == bdd.False {
+				touched = append(touched, k)
 			}
-			c = bm.And(c, v)
+			row[k] = bm.Or(row[k], c)
 		}
-		cube[s] = c
-	}
-
-	nextF := make([]bdd.Node, bits)
-	outF := make([]bdd.Node, m.NumOutputs)
-	for i := range nextF {
-		nextF[i] = bdd.False
-	}
-	for i := range outF {
-		outF[i] = bdd.False
-	}
-	for s := 0; s < m.NumStates(); s++ {
-		for _, tr := range m.Trans[s] {
-			fire := bm.And(cube[s], cond(tr.Cond))
-			if bm.NumNodes() > encodeNodeBudget {
-				return nil, nil, false
-			}
-			if tr.Dst != DontCare {
+		for _, t := range m.Trans[s] {
+			c := tr.Translate(t.Cond)
+			if t.Dst != DontCare {
 				for b := 0; b < bits; b++ {
-					if code[tr.Dst][b] {
-						nextF[b] = bm.Or(nextF[b], fire)
+					if code[t.Dst][b] {
+						or(b, c)
 					}
 				}
 			}
-			for o, v := range tr.Out {
+			for o, v := range t.Out {
 				if v == One {
-					outF[o] = bm.Or(outF[o], fire)
+					or(bits+o, c)
 				}
 			}
+		}
+	}
+
+	F := make([]bdd.Node, nf)
+	if enc == OneHotState {
+		for s := S - 1; s >= 0; s-- {
+			fire(s)
+			x := bm.Var(s)
+			for _, k := range touched {
+				F[k] = bm.Ite(x, bm.Or(row[k], F[k]), F[k])
+				row[k] = bdd.False
+			}
+			if bm.NumNodes() > encodeNodeBudget {
+				return nil, nil, false
+			}
+		}
+	} else {
+		// leaves[k][s] is G_s,k, padded with False to the 2^bits codes.
+		leaves := make([][]bdd.Node, nf)
+		slab := make([]bdd.Node, nf<<uint(bits))
+		for k := range leaves {
+			leaves[k] = slab[k<<uint(bits) : (k+1)<<uint(bits)]
+		}
+		for s := 0; s < S; s++ {
+			fire(s)
+			for _, k := range touched {
+				leaves[k][s] = row[k]
+				row[k] = bdd.False
+			}
+			if bm.NumNodes() > encodeNodeBudget {
+				return nil, nil, false
+			}
+		}
+		// Fold the leaves bottom-up: the last code bit pairs codes
+		// i and i+2^(bits-1), and so on up to bit 0 at the top.
+		for k, cur := range leaves {
+			for l := bits - 1; l >= 0; l-- {
+				half := 1 << uint(l)
+				x := bm.Var(l)
+				for i := 0; i < half; i++ {
+					cur[i] = bm.Ite(x, cur[i+half], cur[i])
+				}
+			}
+			F[k] = cur[0]
 			if bm.NumNodes() > encodeNodeBudget {
 				return nil, nil, false
 			}
@@ -163,11 +199,11 @@ func encodeViaBDD(m *Machine, g *aig.Graph, ins, ffs []aig.Lit, code [][]bool, b
 	conv := newBddToAig(bm, g, vars)
 	next = make([]aig.Lit, bits)
 	for b := range next {
-		next[b] = conv.lit(nextF[b])
+		next[b] = conv.lit(F[b])
 	}
 	outs = make([]aig.Lit, m.NumOutputs)
 	for o := range outs {
-		outs[o] = conv.lit(outF[o])
+		outs[o] = conv.lit(F[bits+o])
 	}
 	return next, outs, true
 }

@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -377,10 +378,12 @@ func trySolve(m *Machine, atoms []bdd.Node, succ [][]int, outs [][][]Tri,
 		}
 	}
 	trans := make([][]Transition, k)
+	outBuf := make([]Tri, m.NumOutputs)
+	var key []byte
 	for i := 0; i < k; i++ {
-		// Group atoms by (joined outputs, successor class).
+		// Group atoms by (joined outputs, successor class), keyed by
+		// the outputs' bytes followed by the successor's four bytes.
 		type beh struct {
-			key string
 			out []Tri
 			dst int
 			cnd bdd.Node
@@ -388,7 +391,7 @@ func trySolve(m *Machine, atoms []bdd.Node, succ [][]int, outs [][][]Tri,
 		var behs []beh
 		index := make(map[string]int)
 		for a := 0; a < na; a++ {
-			out := make([]Tri, m.NumOutputs)
+			out := outBuf
 			for o := range out {
 				out[o] = X
 			}
@@ -423,12 +426,16 @@ func trySolve(m *Machine, atoms []bdd.Node, succ [][]int, outs [][][]Tri,
 			if !specified && dst == DontCare {
 				continue // fully unspecified: leave uncovered
 			}
-			key := fmt.Sprint(out, dst)
-			if bi, ok := index[key]; ok {
+			key = key[:0]
+			for _, v := range out {
+				key = append(key, byte(v))
+			}
+			key = binary.LittleEndian.AppendUint32(key, uint32(int32(dst)))
+			if bi, ok := index[string(key)]; ok {
 				behs[bi].cnd = m.Mgr.Or(behs[bi].cnd, atoms[a])
 			} else {
-				index[key] = len(behs)
-				behs = append(behs, beh{key: key, out: out, dst: dst, cnd: atoms[a]})
+				index[string(key)] = len(behs)
+				behs = append(behs, beh{out: append([]Tri(nil), out...), dst: dst, cnd: atoms[a]})
 			}
 		}
 		for _, b := range behs {

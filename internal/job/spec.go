@@ -189,7 +189,12 @@ func (s *Spec) Hash() string {
 // foldKeyVersion versions the FoldKey derivation: bump it whenever the
 // hashed fields or their meaning change, so stale cache entries from an
 // older derivation can never serve a new submission.
-const foldKeyVersion = 1
+//
+// Version 2: MaxBDDNodes changed meaning. The output-BDD build collects
+// dead intermediates, so the arena it bounds no longer counts them, and
+// state encoding builds fewer nodes before its sum-of-products
+// fallback. Unbudgeted folds are bit-identical to version 1.
+const foldKeyVersion = 2
 
 // FoldKey is the job's shared-work content address, the key of the
 // runner's result cache and in-flight dedup. Unlike Hash, which
