@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race vet faults bench bench-go bench-bdd-smoke bench-fold-smoke bench-throughput-smoke bench-compare serve-smoke fuzz-smoke chaos trace clean
+.PHONY: build test foldbench-test verify race vet faults bench bench-go bench-bdd-smoke bench-fold-smoke bench-throughput-smoke bench-compare serve-smoke fuzz-smoke chaos trace clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# foldbench is a nested module that the root go test ./... never
+# builds; testing it here catches an API change that breaks it before
+# CI does (CI runs the same command).
+foldbench-test:
+	cd foldbench && $(GO) test ./...
 
 # The engine's concurrent packages run under the race detector: the
 # parallel simulation kernel and solver shards spawn goroutines even on a
@@ -35,10 +41,10 @@ faults:
 	$(GO) test -race -run 'Fault|Resilient|Taxonomy' -v .
 	$(GO) test -race ./internal/fault/... ./internal/pipeline/...
 
-# verify = tier-1 (build + test) plus vet, the race gate, the
-# resilience suite, the fold-service smoke, and the shared-work
-# throughput smoke.
-verify: build test vet race faults serve-smoke bench-throughput-smoke
+# verify = tier-1 (build + test) plus the benchmark module's tests,
+# vet, the race gate, the resilience suite, the fold-service smoke, and
+# the shared-work throughput smoke.
+verify: build test foldbench-test vet race faults serve-smoke bench-throughput-smoke
 
 # serve-smoke is the fold-service PR gate, under the race detector: it
 # builds cmd/foldd, then drives a real HTTP server end to end — a

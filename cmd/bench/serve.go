@@ -61,7 +61,7 @@ type ServeOverload struct {
 // budget that never triggers), so each one is a genuine fold, not a
 // snapshot restore.
 func benchServe(circuit string, T, workers, jobsPerRun int) (*ServeReport, error) {
-	runner := job.NewRunner(workers, nil)
+	runner := job.NewRunnerWith(job.RunnerOptions{Workers: workers})
 	srv := httptest.NewServer(job.Handler(runner))
 	defer srv.Close()
 	defer func() {

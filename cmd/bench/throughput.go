@@ -47,7 +47,7 @@ type ThroughputReport struct {
 // identical spec, so after the priming fold every job is a result-cache
 // hit at submit.
 func benchThroughput(circuit string, T, workers, jobsPerRun int) (*ThroughputReport, error) {
-	runner := job.NewRunner(workers, nil)
+	runner := job.NewRunnerWith(job.RunnerOptions{Workers: workers})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -74,7 +74,7 @@ func benchThroughput(circuit string, T, workers, jobsPerRun int) (*ThroughputRep
 	warmSpec := job.Spec{Generator: circuit, T: T, Workers: 1}
 
 	// Prime the warm spec once so its timed rows are pure cache hits.
-	j, err := runner.Submit(warmSpec)
+	j, err := runner.Submit(warmSpec, job.SubmitOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func throughputRow(runner *job.Runner, mode string, conc, jobsPerRun, serial int
 					spec = coldSpec(serial + i)
 				}
 				jStart := time.Now()
-				j, err := runner.Submit(spec)
+				j, err := runner.Submit(spec, job.SubmitOptions{})
 				if err == nil {
 					<-j.Done()
 					_, err = j.Result()

@@ -86,7 +86,7 @@ func TestChaosKillRestart(t *testing.T) {
 		}
 		for i, n := 0, 2+rng.Intn(3); i < n; i++ {
 			spec := pool[rng.Intn(len(pool))]
-			j, err := r.Submit(spec)
+			j, err := r.Submit(spec, SubmitOptions{})
 			if err != nil {
 				t.Fatalf("round %d: submit: %v", round, err)
 			}
@@ -102,7 +102,7 @@ func TestChaosKillRestart(t *testing.T) {
 		// paths have their own tests).
 		if round%3 == 2 {
 			if path := randomBlob(t, ckDir, rng); path != "" {
-				flipByte(t, path)
+				flipByte(t, path, 0x10)
 				corruptions++
 			}
 		}
@@ -138,11 +138,14 @@ func TestChaosKillRestart(t *testing.T) {
 	// One more restart before verification, with a guaranteed-read
 	// corruption: flip a byte in one acknowledged spec's final snapshot
 	// so the resubmission below must detect, quarantine, and re-fold it.
+	// It flips a different bit than the between-round rot: a snapshot
+	// that rot hit and nothing has read since stays corrupt, instead of
+	// being flipped back to valid.
 	var corruptedKey string
 	for _, spec := range acknowledged {
 		path := filepath.Join(ckDir, spec.Hash(), finalStage)
 		if _, err := os.Stat(path); err == nil {
-			flipByte(t, path)
+			flipByte(t, path, 0x04)
 			corruptedKey = spec.Hash()
 			corruptions++
 			break
@@ -161,14 +164,14 @@ func TestChaosKillRestart(t *testing.T) {
 	v := NewRunnerWith(RunnerOptions{Workers: 2, QueueDepth: 64, Store: vstore})
 	defer v.Shutdown(context.Background())
 	dumpFlightRecords(t, dir, v)
-	clean := NewRunner(2, nil)
+	clean := NewRunnerWith(RunnerOptions{Workers: 2})
 	defer clean.Shutdown(context.Background())
 	for key, spec := range acknowledged {
-		j, err := v.Submit(spec)
+		j, err := v.Submit(spec, SubmitOptions{})
 		if err != nil {
 			t.Fatalf("resubmit %s: %v", key, err)
 		}
-		ref, err := clean.Submit(spec)
+		ref, err := clean.Submit(spec, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,14 +232,15 @@ func randomBlob(t *testing.T, dir string, rng *rand.Rand) string {
 	return blobs[rng.Intn(len(blobs))]
 }
 
-// flipByte corrupts one payload byte of a framed store blob in place.
-func flipByte(t *testing.T, path string) {
+// flipByte corrupts one payload byte of a framed store blob in place,
+// XORing it with bit.
+func flipByte(t *testing.T, path string, bit byte) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil || len(raw) <= 8 {
 		return
 	}
-	raw[8+(len(raw)-8)/2] ^= 0x10
+	raw[8+(len(raw)-8)/2] ^= bit
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatalf("corrupt %s: %v", path, err)
 	}

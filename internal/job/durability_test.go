@@ -61,10 +61,10 @@ func TestRunnerJournalRecovery(t *testing.T) {
 	specA := smokeSpec()
 	specB := smokeSpec()
 	specB.T = 8
-	if _, err := r1.Submit(specA); err != nil {
+	if _, err := r1.Submit(specA, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.Submit(specB); err != nil { // queued behind the single worker
+	if _, err := r1.Submit(specB, SubmitOptions{}); err != nil { // queued behind the single worker
 		t.Fatal(err)
 	}
 	<-killStarted
@@ -116,10 +116,10 @@ func TestRunnerJournalRecovery(t *testing.T) {
 	}
 
 	// Bit-identity against uninterrupted folds of the same specs.
-	clean := NewRunner(1, nil)
+	clean := NewRunnerWith(RunnerOptions{Workers: 1})
 	defer clean.Shutdown(context.Background())
 	for _, spec := range []Spec{specA, specB} {
-		j, err := clean.Submit(spec)
+		j, err := clean.Submit(spec, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,9 +299,9 @@ func TestRunnerStoreCorruptionHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := NewRunner(1, fs)
+	r1 := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs})
 	spec := smokeSpec()
-	j1, err := r1.Submit(spec)
+	j1, err := r1.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestRunnerStoreCorruptionHeals(t *testing.T) {
 	}
 	r2 := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs2})
 	defer r2.Shutdown(context.Background())
-	j2, err := r2.Submit(spec)
+	j2, err := r2.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,14 +445,14 @@ func TestJobDeadline(t *testing.T) {
 			Store:   &gateStore{Store: NewMemStore(), gate: gate},
 		})
 		defer r.Shutdown(context.Background())
-		leader, err := r.Submit(smokeSpec())
+		leader, err := r.Submit(smokeSpec(), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitRunning(t, leader)
 		spec := smokeSpec()
 		spec.T = 8
-		j, err := r.SubmitWith(spec, SubmitOptions{Deadline: time.Nanosecond})
+		j, err := r.Submit(spec, SubmitOptions{Deadline: time.Nanosecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,12 +472,12 @@ func TestJobDeadline(t *testing.T) {
 	})
 
 	t.Run("expired mid-fold", func(t *testing.T) {
-		r := NewRunner(1, nil)
+		r := NewRunnerWith(RunnerOptions{Workers: 1})
 		defer r.Shutdown(context.Background())
 		// Big enough that 30ms cannot finish it; the engine polls its
 		// context between BDD operations.
 		spec := Spec{Generator: "b14_C", T: 8, Method: MethodFunctional, Reorder: true, Minimize: true}
-		j, err := r.SubmitWith(spec, SubmitOptions{Deadline: 30 * time.Millisecond})
+		j, err := r.Submit(spec, SubmitOptions{Deadline: 30 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,7 +499,7 @@ func TestJobDeadline(t *testing.T) {
 // a malformed or non-positive ?deadline= is a 400 before any work is
 // admitted.
 func TestServeDeadlineParam(t *testing.T) {
-	r := NewRunner(1, nil)
+	r := NewRunnerWith(RunnerOptions{Workers: 1})
 	defer r.Shutdown(context.Background())
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()

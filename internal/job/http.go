@@ -116,7 +116,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		}
 		so.Deadline = d
 	}
-	j, err := s.runner.SubmitWith(spec, so)
+	j, err := s.runner.Submit(spec, so)
 	if err != nil {
 		var qf *QueueFullError
 		switch {

@@ -58,7 +58,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // submitted as JSON, polled to completion, and the result fetched and
 // diffed against the same fold run in-process.
 func TestServeSmoke(t *testing.T) {
-	runner := NewRunner(2, nil)
+	runner := NewRunnerWith(RunnerOptions{Workers: 2})
 	defer runner.Shutdown(context.Background())
 	srv := httptest.NewServer(Handler(runner))
 	defer srv.Close()
@@ -184,7 +184,7 @@ func TestServeSmoke(t *testing.T) {
 }
 
 func TestServeNetlistUpload(t *testing.T) {
-	runner := NewRunner(1, nil)
+	runner := NewRunnerWith(RunnerOptions{Workers: 1})
 	defer runner.Shutdown(context.Background())
 	srv := httptest.NewServer(Handler(runner))
 	defer srv.Close()
@@ -217,7 +217,7 @@ func TestServeNetlistUpload(t *testing.T) {
 }
 
 func TestServeErrors(t *testing.T) {
-	runner := NewRunner(1, nil)
+	runner := NewRunnerWith(RunnerOptions{Workers: 1})
 	srv := httptest.NewServer(Handler(runner))
 	defer srv.Close()
 
@@ -236,7 +236,7 @@ func TestServeErrors(t *testing.T) {
 	}
 
 	// A queued-then-canceled job has no result.
-	j, err := runner.Submit(smokeSpec())
+	j, err := runner.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ type Job struct {
 	log       *slog.Logger // correlated: every line carries job_id + key
 	profile   string       // requested profile kind: "", "cpu" or "heap"
 	done      chan struct{}
-	r         *Runner   // back-pointer for terminal-transition journaling
+	r         *Runner   // back-pointer for terminal-transition accounting
 	deadline  time.Time // zero = no client deadline
 	recovered bool      // re-enqueued by journal replay after a crash
 
@@ -90,16 +90,15 @@ type Job struct {
 	err       string
 	method    string
 	cacheStat string   // shared-work verdict at submit: "hit", "miss" or "attached"
-	enqueued  bool     // true once the job entered the worker queue
 	resumed   []string // stage names restored from checkpoints
-	fromSnap  bool     // whole result restored from the final snapshot
+	fromSnap  bool     // whole result served by the worker's read-through lookup
 	created   time.Time
 	started   time.Time
 	finished  time.Time
 	cancel    context.CancelFunc
 	result    *circuitfold.Result
 	flightRec []byte // flight-recorder artifact, set on dump
-	profData  []byte // captured pprof profile, set after the run
+	profData  []byte // captured pprof profile, set before the terminal transition
 }
 
 // ID returns the job's runner-unique identifier.
@@ -183,8 +182,9 @@ type Status struct {
 	Method string `json:"method,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// Resumed lists the pipeline stages restored from checkpoints;
-	// ResumedResult reports a whole-result restore from the final
-	// snapshot (an identical spec already ran to completion).
+	// ResumedResult reports that the worker served the whole result
+	// from the cache or the final snapshot (an identical fold finished
+	// after this job's submit).
 	Resumed       []string `json:"resumed,omitempty"`
 	ResumedResult bool     `json:"resumed_result,omitempty"`
 	// Cache is the shared-work verdict at submit: "hit" (served from
@@ -251,14 +251,23 @@ func (j *Job) Status() Status {
 }
 
 // finish moves the job to a terminal state exactly once.
-func (j *Job) finish(state State, errText string) { j.finishWith(state, errText, nil) }
+func (j *Job) finish(state State, errText string) bool { return j.finishWith(state, errText, nil) }
+
+// terminalCounters maps a terminal state to its lifecycle counter.
+var terminalCounters = map[State]string{
+	StateDone:     obs.MJobDone,
+	StateFailed:   obs.MJobFailed,
+	StateCanceled: obs.MJobCanceled,
+}
 
 // finishWith moves the job to a terminal state exactly once, running
 // mutate under the job lock just before the transition when this call
 // wins it. It reports whether it did: a lost race (the job was already
 // terminal) leaves the job untouched, so concurrent finishers — the
 // fold worker, a user cancel, a dedup delivery — cannot interleave
-// their result fields.
+// their result fields. The winner counts the state before the
+// transition, so a client woken by it sees the count, and journals it
+// after.
 func (j *Job) finishWith(state State, errText string, mutate func()) bool {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
@@ -272,11 +281,13 @@ func (j *Job) finishWith(state State, errText string, mutate func()) bool {
 	j.err = errText
 	j.finished = time.Now()
 	j.mu.Unlock()
+	j.r.metrics.Counter(terminalCounters[state]).Add(1)
 	j.events.Close()
 	close(j.done)
-	if j.r != nil {
-		j.r.journalTerminal(j, state, errText)
-	}
+	// Best effort: a lost terminal record only means recovery replays a
+	// job whose result is already snapshotted, which resumes instantly.
+	// The terminal journal ops are spelled like the states.
+	j.r.appendJournal(j, JournalOp(state), nil, errText)
 	return true
 }
 
@@ -323,8 +334,8 @@ type flight struct {
 	waiters []*Job
 }
 
-// RunnerOptions configures NewRunnerWith. The zero value matches
-// NewRunner(0, nil).
+// RunnerOptions configures NewRunnerWith. The zero value is one worker
+// over a fresh MemStore, with default telemetry and cache bounds.
 type RunnerOptions struct {
 	// Workers is the fold worker-pool size (minimum 1).
 	Workers int
@@ -355,13 +366,6 @@ type RunnerOptions struct {
 	// recovering state (readiness probes fail) until Recover is called
 	// — with the journal's replayed records, or nil to skip replay.
 	Journal *Journal
-}
-
-// NewRunner starts a runner with the given worker count (minimum 1)
-// over store (nil means a fresh MemStore). Telemetry is wired to
-// defaults; use NewRunnerWith to direct it.
-func NewRunner(workers int, store Store) *Runner {
-	return NewRunnerWith(RunnerOptions{Workers: workers, Store: store})
 }
 
 // NewRunnerWith starts a runner from opts.
@@ -464,13 +468,8 @@ type SubmitOptions struct {
 }
 
 // Submit validates the spec, builds its circuit (rejecting malformed
-// uploads at the door), and enqueues the job.
-func (r *Runner) Submit(spec Spec) (*Job, error) {
-	return r.SubmitWith(spec, SubmitOptions{})
-}
-
-// SubmitWith is Submit with per-submission options.
-func (r *Runner) SubmitWith(spec Spec, so SubmitOptions) (*Job, error) {
+// uploads at the door), and admits the job with per-submission options.
+func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -484,22 +483,12 @@ func (r *Runner) SubmitWith(spec Spec, so SubmitOptions) (*Job, error) {
 	// Both content addresses hash the whole input; compute them outside
 	// the lock.
 	key, foldKey := spec.Hash(), spec.FoldKey(g)
-	// A result-cache hit is looked up and decoded before r.mu is taken,
-	// so decoding a large result never stalls other submit, status and
-	// list calls. A hit decodes into a private Result, so cached jobs
-	// never alias each other's circuits; a corrupt entry (codec version
-	// drift) falls through to a real fold. A leader that settles between
-	// this lookup and the lock makes the submission fold again, which
-	// runJob serves from the store's final snapshot.
-	var (
-		hitMethod string
-		hitRes    *circuitfold.Result
-	)
-	if data, ok := r.cache.Get(foldKey); ok {
-		if method, res, err := decodeFinal(data); err == nil {
-			hitMethod, hitRes = method, res
-		}
-	}
+	// The submit path reads the memory tier only, and before r.mu is
+	// taken: decoding a large result never stalls other submit, status
+	// and list calls, and the request does no disk I/O. A leader that
+	// settles between this lookup and the lock makes the submission
+	// lead again; its worker's read-through lookup then serves it.
+	hitMethod, hitRes, _, hit := r.lookupFinal(foldKey, nil)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -527,31 +516,25 @@ func (r *Runner) SubmitWith(spec Spec, so SubmitOptions) (*Job, error) {
 	}
 	// Correlated logger: the process stream and the job's flight
 	// recorder both see every line, each stamped with the job's
-	// identity (the content key is the PR 7 spec hash, shortened to
-	// the display width used everywhere else).
+	// identity (the content key is the spec hash, shortened to the
+	// display width used everywhere else).
 	j.log = slog.New(obs.TeeHandler(r.log.Handler(), j.flight.LogHandler())).
 		With("job_id", j.id, "key", shortKey(j.key))
 	// Shared-work triage, in order: (1) the result cache serves a
 	// finished identical fold without touching an engine; (2) a live
 	// identical fold absorbs this submission as a waiter; (3) this
 	// submission leads and enqueues.
-	if hitRes != nil {
+	if hit {
 		r.register(j)
-		// Journal the submission first so the done record that
-		// finishWith appends has a matching lifecycle. Best effort: a
-		// hit completes synchronously, so there is no pending work a
-		// crash could lose.
-		r.journalSubmit(j, false)
+		// Journal the submission first so the done record of the
+		// transition has a matching lifecycle. Best effort: a hit
+		// completes synchronously, so there is no pending work a crash
+		// could lose.
+		r.appendJournal(j, OpSubmitted, &spec, "")
 		r.metrics.Counter(obs.MJobCacheHits).Add(1)
-		r.metrics.Counter(obs.MJobDone).Add(1)
-		j.finishWith(StateDone, "", func() {
-			j.cacheStat = "hit"
-			j.method = hitMethod
-			j.result = hitRes
-		})
 		j.log.Info("job submitted",
 			"method", j.spec.EffectiveMethod(), "t", j.spec.T, "cache", "hit")
-		j.log.Info("job done", "method", hitMethod, "cache", "hit")
+		r.deliver(j, hitMethod, hitRes, func() { j.cacheStat = "hit" }, "cache", "hit")
 		return j, nil
 	}
 	if fl, ok := r.inflight[j.foldKey]; ok {
@@ -560,7 +543,7 @@ func (r *Runner) SubmitWith(spec Spec, so SubmitOptions) (*Job, error) {
 		r.register(j)
 		// Best effort: losing this record means a crash replays the
 		// waiter as its own submission, which dedups or cache-hits.
-		r.journalSubmit(j, false)
+		r.appendJournal(j, OpSubmitted, &spec, "")
 		r.metrics.Counter(obs.MJobDedupAttached).Add(1)
 		j.log.Info("job submitted", "method", j.spec.EffectiveMethod(),
 			"t", j.spec.T, "cache", "attached", "leader", fl.leader.id)
@@ -578,10 +561,9 @@ func (r *Runner) SubmitWith(spec Spec, so SubmitOptions) (*Job, error) {
 	// Journal before enqueueing, strictly: once Submit acknowledges a
 	// leader, a crash must be able to replay it. If the record cannot
 	// be made durable the submission is refused.
-	if err := r.journalSubmit(j, true); err != nil {
-		return nil, err
+	if err := r.appendJournal(j, OpSubmitted, &spec, ""); err != nil {
+		return nil, fmt.Errorf("job: refusing submission, journal append failed: %w", err)
 	}
-	j.enqueued = true
 	r.queue <- j
 	r.inflight[j.foldKey] = &flight{leader: j}
 	r.register(j)
@@ -610,64 +592,23 @@ func (r *Runner) retryAfter() time.Duration {
 	return est
 }
 
-// journalSubmit appends the job's submit record. In strict mode an
-// append failure is returned (and refuses the submission); otherwise
-// it is logged and swallowed. No-op without a journal.
-func (r *Runner) journalSubmit(j *Job, strict bool) error {
+// appendJournal appends one transition record for j; spec is set on
+// submit records only. A failed append is logged and returned, and the
+// caller decides whether it matters: only a leader's submit record
+// refuses the submission. No-op without a journal. Terminal records are
+// appended from finishWith — with r.mu sometimes held — so this must
+// not touch r.mu.
+func (r *Runner) appendJournal(j *Job, op JournalOp, spec *Spec, errText string) error {
 	jr := r.journal.Load()
 	if jr == nil {
 		return nil
 	}
-	spec := j.spec
-	if err := jr.Append(OpSubmitted, j.id, &spec, ""); err != nil {
-		if strict {
-			return fmt.Errorf("job: refusing submission, journal append failed: %w", err)
-		}
-		j.log.Warn("journal append failed", "op", string(OpSubmitted), "err", err.Error())
-		return nil
+	if err := jr.Append(op, j.id, spec, errText); err != nil {
+		j.log.Warn("journal append failed", "op", string(op), "err", err.Error())
+		return err
 	}
 	r.metrics.Counter(obs.MJournalRecords).Add(1)
 	return nil
-}
-
-// journalTerminal appends the job's terminal record, best effort: a
-// lost terminal record only means recovery replays a job whose result
-// is already snapshotted, which resumes instantly. Called from
-// finishWith — with r.mu sometimes held — so it must not touch r.mu.
-func (r *Runner) journalTerminal(j *Job, state State, errText string) {
-	jr := r.journal.Load()
-	if jr == nil {
-		return
-	}
-	var op JournalOp
-	switch state {
-	case StateDone:
-		op = OpDone
-	case StateFailed:
-		op = OpFailed
-	case StateCanceled:
-		op = OpCanceled
-	default:
-		return
-	}
-	if err := jr.Append(op, j.id, nil, errText); err != nil {
-		j.log.Warn("journal append failed", "op", string(op), "err", err.Error())
-		return
-	}
-	r.metrics.Counter(obs.MJournalRecords).Add(1)
-}
-
-// journalStarted appends the job's started record, best effort.
-func (r *Runner) journalStarted(j *Job) {
-	jr := r.journal.Load()
-	if jr == nil {
-		return
-	}
-	if err := jr.Append(OpStarted, j.id, nil, ""); err != nil {
-		j.log.Warn("journal append failed", "op", string(OpStarted), "err", err.Error())
-		return
-	}
-	r.metrics.Counter(obs.MJournalRecords).Add(1)
 }
 
 // register indexes a new job. Called with r.mu held.
@@ -715,15 +656,9 @@ func (r *Runner) Cancel(id string) bool {
 	j.mu.Lock()
 	cancel := j.cancel
 	queued := j.state == StateQueued
-	enqueued := j.enqueued
 	j.mu.Unlock()
 	if queued {
-		if j.finishWith(StateCanceled, "canceled before start", nil) && !enqueued {
-			// Attached waiters never pass through a worker, so their
-			// cancellation is accounted here; enqueued jobs are counted
-			// when a worker dequeues them in a terminal state.
-			r.metrics.Counter(obs.MJobCanceled).Add(1)
-		}
+		j.finish(StateCanceled, "canceled before start")
 		// A canceled leader hands its waiters to a promoted successor.
 		r.settleFlight(j)
 		return true
@@ -734,11 +669,11 @@ func (r *Runner) Cancel(id string) bool {
 	return true
 }
 
-// settleFlight resolves the dedup group led by leader once it is
-// terminal. No-op unless leader actually leads a live flight, so it is
-// safe to call on every terminal transition.
+// settleFlight resolves the dedup group led by a job that ended
+// without a result. No-op unless the job actually leads a live flight,
+// so it is safe to call on every terminal transition.
 func (r *Runner) settleFlight(leader *Job) {
-	r.settleWaiters(leader, r.detachFlight(leader))
+	r.settleWaiters(leader, r.detachFlight(leader), nil)
 }
 
 // detachFlight takes leader's dedup group out of r.inflight and returns
@@ -757,40 +692,35 @@ func (r *Runner) detachFlight(leader *Job) []*Job {
 	return fl.waiters
 }
 
-// settleWaiters resolves the waiters detached from a terminal leader:
-// done waiters each decode a private copy of the leader's encoded
-// result (bit-identical by construction), failed waiters inherit the
-// failure, and a canceled leader promotes the first still-live waiter
-// so attached work survives user cancellation.
-func (r *Runner) settleWaiters(leader *Job, waiters []*Job) {
+// settleWaiters resolves the waiters detached from a terminal leader.
+// When the leader is done, data is its encoded result: each waiter
+// decodes a private copy (bit-identical by construction, never
+// aliased), and waiters left without decodable bytes fold for
+// themselves. Failed waiters inherit the leader's failure, and a
+// canceled leader promotes the first still-live waiter so attached
+// work survives user cancellation.
+func (r *Runner) settleWaiters(leader *Job, waiters []*Job, data []byte) {
 	if len(waiters) == 0 {
 		return
 	}
 	leader.mu.Lock()
-	state, errText, method, res := leader.state, leader.err, leader.method, leader.result
+	state, errText := leader.state, leader.err
 	leader.mu.Unlock()
 	switch state {
 	case StateDone:
-		data, encErr := encodeFinal(method, res)
+		var unshared []*Job
 		for _, w := range waiters {
-			wm, wres := method, res
-			if encErr == nil {
-				if m2, r2, err := decodeFinal(data); err == nil {
-					wm, wres = m2, r2
-				}
+			method, res, err := decodeFinal(data)
+			if err != nil {
+				unshared = append(unshared, w)
+				continue
 			}
-			if w.finishWith(StateDone, "", func() {
-				w.method = wm
-				w.result = wres
-			}) {
-				r.metrics.Counter(obs.MJobDone).Add(1)
-				w.log.Info("job done", "method", wm, "cache", "attached", "leader", leader.id)
-			}
+			r.deliver(w, method, res, nil, "cache", "attached", "leader", leader.id)
 		}
+		r.promote(leader, unshared)
 	case StateFailed:
 		for _, w := range waiters {
-			if w.finishWith(StateFailed, errText, nil) {
-				r.metrics.Counter(obs.MJobFailed).Add(1)
+			if w.finish(StateFailed, errText) {
 				w.log.Error("job failed", "err", errText, "cache", "attached", "leader", leader.id)
 			}
 		}
@@ -800,10 +730,10 @@ func (r *Runner) settleWaiters(leader *Job, waiters []*Job) {
 }
 
 // promote re-enqueues the first still-live waiter as the new leader of
-// its fold key after the old leader was canceled; remaining live
-// waiters re-attach to it. When no promotion is possible — runner
-// draining, queue full, no live waiter — the waiters cancel with the
-// leader.
+// its fold key after the old leader ended without a shareable result;
+// remaining live waiters re-attach to it. When no promotion is possible
+// — runner draining, queue full, no live waiter — the waiters cancel
+// with the leader.
 func (r *Runner) promote(leader *Job, waiters []*Job) {
 	var live []*Job
 	for _, w := range waiters {
@@ -829,7 +759,6 @@ func (r *Runner) promote(leader *Job, waiters []*Job) {
 		case r.queue <- head:
 			head.mu.Lock()
 			head.cacheStat = "miss" // it folds for real now
-			head.enqueued = true
 			head.mu.Unlock()
 			r.inflight[head.foldKey] = &flight{leader: head, waiters: live[1:]}
 			r.metrics.Gauge(obs.MJobQueueDepth).Set(int64(len(r.queue)))
@@ -842,8 +771,7 @@ func (r *Runner) promote(leader *Job, waiters []*Job) {
 	}
 	r.mu.Unlock()
 	for _, w := range live {
-		if w.finishWith(StateCanceled, "canceled: in-flight leader canceled", nil) {
-			r.metrics.Counter(obs.MJobCanceled).Add(1)
+		if w.finish(StateCanceled, "canceled: in-flight leader canceled") {
 			w.log.Info("job canceled", "cache", "attached", "leader", leader.id)
 		}
 	}
@@ -856,15 +784,7 @@ func (r *Runner) promote(leader *Job, waiters []*Job) {
 // resumable — and the deadline error is returned after the workers
 // exit. Shutdown is idempotent; later calls wait like the first.
 func (r *Runner) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	already := r.closed
-	r.closed = true
-	r.draining = true
-	if !already {
-		close(r.queue)
-	}
-	r.mu.Unlock()
-
+	r.closeQueue()
 	done := make(chan struct{})
 	go func() {
 		r.wg.Wait()
@@ -875,8 +795,26 @@ func (r *Runner) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 	}
-	// Deadline hit: cut the in-flight jobs loose at their next
-	// cancellation poll; their completed stages are checkpointed.
+	r.cancelAll()
+	<-done
+	return fmt.Errorf("job: drain deadline: %w", ctx.Err())
+}
+
+// closeQueue refuses further submissions and closes the worker queue
+// once; the workers cancel whatever is still queued and exit.
+func (r *Runner) closeQueue() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed {
+		close(r.queue)
+	}
+	r.closed = true
+	r.draining = true
+}
+
+// cancelAll cuts every running job loose at its next cancellation
+// poll; its completed stages are checkpointed.
+func (r *Runner) cancelAll() {
 	for _, j := range r.Jobs() {
 		j.mu.Lock()
 		cancel := j.cancel
@@ -885,8 +823,6 @@ func (r *Runner) Shutdown(ctx context.Context) error {
 			cancel()
 		}
 	}
-	<-done
-	return fmt.Errorf("job: drain deadline: %w", ctx.Err())
 }
 
 // Recover replays a journal's records (as returned by OpenJournal):
@@ -902,7 +838,7 @@ func (r *Runner) Recover(recs []JournalRecord) (int, error) {
 	n := 0
 	var firstErr error
 	for _, rec := range PendingJobs(recs) {
-		j, err := r.SubmitWith(*rec.Spec, SubmitOptions{recovered: true})
+		j, err := r.Submit(*rec.Spec, SubmitOptions{recovered: true})
 		if err != nil {
 			// Keep replaying: one bad record (or a full queue) must not
 			// strand the rest of the backlog.
@@ -958,22 +894,8 @@ func (r *Runner) Kill() {
 	if jr := r.journal.Swap(nil); jr != nil {
 		jr.Close()
 	}
-	r.mu.Lock()
-	already := r.closed
-	r.closed = true
-	r.draining = true
-	if !already {
-		close(r.queue)
-	}
-	r.mu.Unlock()
-	for _, j := range r.Jobs() {
-		j.mu.Lock()
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-	}
+	r.closeQueue()
+	r.cancelAll()
 	r.wg.Wait()
 }
 
@@ -985,50 +907,65 @@ func (r *Runner) worker() {
 	}
 }
 
+// runJob takes one dequeued job through start, fold and settle. A
+// finished identical fold, in the cache or the store, is served
+// instead of folding again: this closes the window in which a leader
+// settles between a submission's triage and its enqueue.
+func (r *Runner) runJob(j *Job) {
+	run := r.start(j)
+	if run == nil {
+		return
+	}
+	defer r.stop(run)
+	if method, res, data, ok := r.lookupFinal(j.foldKey, run.ck); ok {
+		r.terminate(j, run, data, func() {
+			r.deliver(j, method, res, func() { j.fromSnap = true }, "resumed_result", true)
+		})
+		return
+	}
+	method, res, err := fold(j, run)
+	r.settle(j, run, method, res, err)
+}
+
+// jobRun is a started job's worker-side state, from start to stop.
+type jobRun struct {
+	ctx    context.Context // the fold's context: cancelable, deadline-bound, pprof-labeled
+	cancel context.CancelFunc
+	ck     pipeline.Checkpoint // the job's checkpoints, under its spec hash
+	cpu    *bytes.Buffer       // the CPU profile being recorded, nil when none
+}
+
 // cpuProfileBusy serializes CPU profiling: the runtime allows one CPU
 // profile per process, so concurrent jobs requesting one take turns —
 // losers run unprofiled with a warning rather than queueing.
 var cpuProfileBusy atomic.Bool
 
-// runJob executes one job end to end.
-func (r *Runner) runJob(j *Job) {
-	// However the job ends, its dedup group (if it leads one) must be
-	// resolved: waiters share a success, inherit a failure, or promote
-	// past a cancellation. The job is terminal on every return path,
-	// and every terminal transition goes through finish, which detaches
-	// the group first; the waiters are settled on the way out.
-	var waiters []*Job
-	defer func() { r.settleWaiters(j, waiters) }()
-	finish := func(state State, errText string) {
-		waiters = r.detachFlight(j)
-		j.finish(state, errText)
-	}
+// start moves a dequeued job to running and returns its run. A job
+// that must not fold — canceled while queued, runner draining, deadline
+// already past — ends here instead, and start returns nil.
+func (r *Runner) start(j *Job) *jobRun {
 	r.mu.Lock()
 	draining := r.draining
 	r.mu.Unlock()
 	j.mu.Lock()
-	if j.state != StateQueued { // canceled while queued
-		j.mu.Unlock()
-		waiters = r.detachFlight(j)
-		r.metrics.Counter(obs.MJobCanceled).Add(1)
-		return
-	}
-	if draining {
-		j.mu.Unlock()
-		finish(StateCanceled, "canceled: daemon shutting down")
-		r.metrics.Counter(obs.MJobCanceled).Add(1)
-		return
-	}
 	deadline := j.deadline // immutable after Submit
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
+	switch {
+	case j.state != StateQueued: // canceled while queued
+		j.mu.Unlock()
+		r.settleFlight(j)
+		return nil
+	case draining:
+		j.mu.Unlock()
+		r.terminate(j, nil, nil, func() { j.finish(StateCanceled, "canceled: daemon shutting down") })
+		return nil
+	case !deadline.IsZero() && !time.Now().Before(deadline):
 		// Expired while queued: fail without burning a fold.
 		j.mu.Unlock()
-		// Count before finish: a client woken by finish sees the count.
+		// Count before the transition: a client woken by it sees the count.
 		r.metrics.Counter(obs.MJobDeadline).Add(1)
-		r.metrics.Counter(obs.MJobFailed).Add(1)
-		finish(StateFailed, "deadline exceeded before start")
+		r.terminate(j, nil, nil, func() { j.finish(StateFailed, "deadline exceeded before start") })
 		j.log.Warn("job missed deadline in queue")
-		return
+		return nil
 	}
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -1037,13 +974,11 @@ func (r *Runner) runJob(j *Job) {
 	} else {
 		ctx, cancel = context.WithDeadline(context.Background(), deadline)
 	}
-	defer cancel()
 	// Profile attribution: label this goroutine and hand the labeled
 	// context to the fold so frame/cluster workers inherit (and
 	// extend) the job identity in CPU profiles.
-	lctx := pprof.WithLabels(ctx, pprof.Labels("job", j.id, "key", shortKey(j.key)))
-	pprof.SetGoroutineLabels(lctx)
-	defer pprof.SetGoroutineLabels(context.Background())
+	ctx = pprof.WithLabels(ctx, pprof.Labels("job", j.id, "key", shortKey(j.key)))
+	pprof.SetGoroutineLabels(ctx)
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
@@ -1051,94 +986,48 @@ func (r *Runner) runJob(j *Job) {
 	j.mu.Unlock()
 	r.metrics.Timing(obs.MJobQueueWait).Observe(queueWait)
 	r.metrics.Gauge(obs.MJobQueueDepth).Set(int64(len(r.queue)))
-	running := r.metrics.Gauge(obs.MJobRunning)
-	running.Add(1)
-	defer running.Add(-1)
-	r.journalStarted(j)
+	r.metrics.Gauge(obs.MJobRunning).Add(1)
+	r.appendJournal(j, OpStarted, nil, "")
 	j.log.Info("job started", "queue_wait", queueWait.Seconds())
 
-	ck := r.store.Checkpoint(j.key)
-
-	// Opt-in pprof capture. CPU wraps the whole fold window; heap
-	// snapshots after the fold (where the arena high-water mark is
-	// still visible in allocation totals).
-	var cpuBuf bytes.Buffer
-	cpuProfiling := false
+	run := &jobRun{ctx: ctx, cancel: cancel, ck: r.store.Checkpoint(j.key)}
+	// Opt-in CPU profile of the whole fold window; a heap profile is
+	// snapshotted after the fold, in captureProfile.
 	if j.profile == "cpu" {
-		if cpuProfileBusy.CompareAndSwap(false, true) {
-			if err := pprof.StartCPUProfile(&cpuBuf); err != nil {
-				cpuProfileBusy.Store(false)
-				j.log.Warn("cpu profile failed to start", "err", err.Error())
-			} else {
-				cpuProfiling = true
-			}
-		} else {
+		buf := new(bytes.Buffer)
+		if !cpuProfileBusy.CompareAndSwap(false, true) {
 			j.log.Warn("cpu profile skipped: another job is profiling")
-		}
-	}
-	finishProfile := func() {
-		var data []byte
-		switch {
-		case cpuProfiling:
-			pprof.StopCPUProfile()
+		} else if err := pprof.StartCPUProfile(buf); err != nil {
 			cpuProfileBusy.Store(false)
-			cpuProfiling = false
-			data = cpuBuf.Bytes()
-		case j.profile == "heap":
-			var heapBuf bytes.Buffer
-			if err := pprof.Lookup("heap").WriteTo(&heapBuf, 0); err != nil {
-				j.log.Warn("heap profile failed", "err", err.Error())
-				return
-			}
-			data = heapBuf.Bytes()
-		default:
-			return
-		}
-		// Stored next to the job's checkpoints, under its content key.
-		if err := ck.Save("profile."+j.profile, data); err != nil {
-			j.log.Warn("profile not persisted", "err", err.Error())
-		}
-		j.mu.Lock()
-		j.profData = data
-		j.mu.Unlock()
-		j.log.Info("profile captured", "kind", j.profile, "bytes", len(data))
-	}
-	defer finishProfile()
-
-	// Job-level resume: an identical spec that already completed (in
-	// this process or a previous one) is served from its final
-	// snapshot. A corrupt snapshot falls through to a recompute.
-	if data, ok := ck.Load(finalStage); ok {
-		if method, res, err := decodeFinal(data); err == nil {
-			// Prime the result cache: the next identical submission is
-			// served at the submit call, without reaching a worker.
-			r.cache.Put(j.foldKey, data)
-			j.mu.Lock()
-			j.method = method
-			j.result = res
-			j.fromSnap = true
-			j.mu.Unlock()
-			r.metrics.Counter(obs.MJobDone).Add(1)
-			j.log.Info("job done", "method", method, "resumed_result", true)
-			finish(StateDone, "")
-			return
+			j.log.Warn("cpu profile failed to start", "err", err.Error())
+		} else {
+			run.cpu = buf
 		}
 	}
+	return run
+}
 
+// stop releases what start acquired: the fold's context, the goroutine
+// labels and the running gauge.
+func (r *Runner) stop(run *jobRun) {
+	run.cancel()
+	pprof.SetGoroutineLabels(context.Background())
+	r.metrics.Gauge(obs.MJobRunning).Add(-1)
+}
+
+// fold runs the spec's method on the job's circuit under the run's
+// context and checkpoints. method is the one that produced res: the
+// resilient ladder reports the rung that won.
+func fold(j *Job, run *jobRun) (method string, res *circuitfold.Result, err error) {
 	opt := j.spec.Options()
-	opt.Context = lctx
+	opt.Context = run.ctx
 	// Spans fan out to the live SSE stream and the flight recorder.
 	opt.Observer = &circuitfold.Observer{
 		Tracer:  circuitfold.NewTracer(obs.MultiSink(j.events, j.flight)),
 		Metrics: j.metrics,
 	}
-	opt.Checkpoint = ck
-
-	var (
-		res    *circuitfold.Result
-		err    error
-		method = j.spec.EffectiveMethod()
-	)
+	opt.Checkpoint = run.ck
+	method = j.spec.EffectiveMethod()
 	switch method {
 	case MethodFunctional:
 		res, err = circuitfold.Functional(j.g, j.spec.T, opt)
@@ -1161,7 +1050,15 @@ func (r *Runner) runJob(j *Job) {
 	default:
 		err = fmt.Errorf("job: unknown method %q", method)
 	}
-	runDur := time.Since(j.started)
+	return method, res, err
+}
+
+// settle ends a folded job. It is the only code that persists, caches
+// or shares a fold's result: a failure is classified and dumped; a
+// success is encoded once, and those bytes are saved as the final
+// snapshot, put in the cache and delivered to the waiters.
+func (r *Runner) settle(j *Job, run *jobRun, method string, res *circuitfold.Result, err error) {
+	runDur := time.Since(j.started) // written only by this worker
 	r.metrics.Timing(obs.MJobRunSeconds).Observe(runDur)
 	// EWMA of fold wall time (alpha 1/4) feeds the Retry-After estimate
 	// on queue-full rejections.
@@ -1171,28 +1068,25 @@ func (r *Runner) runJob(j *Job) {
 		r.avgRun.Store(old - old/4 + int64(runDur)/4)
 	}
 	if err != nil {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			// The pipeline reports a deadline expiry as cancellation,
-			// or as an elapsed wall budget when its own clock check
-			// beats the context's timer; for the client the difference
-			// matters.
-			msg := "deadline exceeded: " + err.Error()
+		state, msg, reason := StateFailed, err.Error(), "failed"
+		switch {
+		case !j.deadline.IsZero() && !time.Now().Before(j.deadline):
+			// The pipeline reports a deadline expiry as cancellation, or
+			// as an elapsed wall budget when its own clock check beats
+			// the context's timer; for the client the difference matters.
+			msg, reason = "deadline exceeded: "+msg, "deadline_exceeded"
 			r.metrics.Counter(obs.MJobDeadline).Add(1)
-			r.metrics.Counter(obs.MJobFailed).Add(1)
 			j.log.Warn("job missed deadline", "err", err.Error(), "run_seconds", runDur.Seconds())
-			r.dumpFlight(j, ck, "deadline_exceeded", StateFailed, msg)
-			finish(StateFailed, msg)
-		} else if errors.Is(err, circuitfold.ErrCanceled) {
-			r.metrics.Counter(obs.MJobCanceled).Add(1)
-			j.log.Info("job canceled", "err", err.Error(), "run_seconds", runDur.Seconds())
-			finish(StateCanceled, err.Error())
-		} else {
-			r.metrics.Counter(obs.MJobFailed).Add(1)
-			j.log.Error("job failed", "err", err.Error(), "method", method,
-				"run_seconds", runDur.Seconds())
-			r.dumpFlight(j, ck, "failed", StateFailed, err.Error())
-			finish(StateFailed, err.Error())
+		case errors.Is(err, circuitfold.ErrCanceled):
+			state, reason = StateCanceled, ""
+			j.log.Info("job canceled", "err", msg, "run_seconds", runDur.Seconds())
+		default:
+			j.log.Error("job failed", "err", msg, "method", method, "run_seconds", runDur.Seconds())
 		}
+		if reason != "" {
+			r.dumpFlight(j, run.ck, reason, state, "", msg)
+		}
+		r.terminate(j, run, nil, func() { j.finish(state, msg) })
 		return
 	}
 
@@ -1209,36 +1103,123 @@ func (r *Runner) runJob(j *Job) {
 			r.metrics.Timing(obs.StageSeconds(ss.Name)).Observe(ss.Duration)
 		}
 	}
-	if data, encErr := encodeFinal(method, res); encErr == nil {
-		_ = ck.Save(finalStage, data) // best effort: resume is an optimization
+	data, encErr := encodeFinal(method, res)
+	if encErr == nil {
+		_ = run.ck.Save(finalStage, data) // best effort: resume is an optimization
 		r.cache.Put(j.foldKey, data)
+	} else {
+		j.log.Warn("result not encodable; not persisted or shared", "err", encErr.Error())
 	}
-	j.mu.Lock()
-	j.method = method
-	j.result = res
-	j.resumed = resumed
-	j.mu.Unlock()
-	r.metrics.Counter(obs.MJobDone).Add(1)
-	j.log.Info("job done", "method", method, "run_seconds", runDur.Seconds(),
-		"states", res.States, "gates", res.Gates())
 	// A fold that succeeded the hard way still dumps its black box:
 	// recovered panics and degradation-ladder descents are incidents
 	// an operator wants the context for, even with a green result.
 	if j.metrics.Counter(obs.MFoldPanics).Value() > 0 {
-		r.dumpFlight(j, ck, "panic_recovered", StateDone, "")
+		r.dumpFlight(j, run.ck, "panic_recovered", StateDone, method, "")
 	} else if j.metrics.Counter(obs.MFoldFallbacks).Value() > 0 {
-		r.dumpFlight(j, ck, "degraded", StateDone, "")
+		r.dumpFlight(j, run.ck, "degraded", StateDone, method, "")
 	}
-	finish(StateDone, "")
+	r.terminate(j, run, data, func() {
+		r.deliver(j, method, res, func() { j.resumed = resumed }, "run_seconds", runDur.Seconds(),
+			"states", res.States, "gates", res.Gates())
+	})
+}
+
+// terminate is every worker-side terminal transition. The requested
+// profile is captured and the dedup group detached first, so a client
+// woken by the transition can fetch the profile, and a resubmission
+// made at that moment folds or hits the cache instead of attaching to a
+// finished leader. Then transition runs, and the waiters settle on
+// data, the encoded result when the job is done. run is nil for a job
+// that ended in start.
+func (r *Runner) terminate(j *Job, run *jobRun, data []byte, transition func()) {
+	if run != nil {
+		r.captureProfile(j, run)
+	}
+	waiters := r.detachFlight(j)
+	transition()
+	r.settleWaiters(j, waiters, data)
+}
+
+// captureProfile ends the job's requested profile and attaches it: the
+// CPU profile of the fold window, or a heap snapshot taken now, right
+// after the fold, where the arena high-water mark is still visible in
+// allocation totals.
+func (r *Runner) captureProfile(j *Job, run *jobRun) {
+	var data []byte
+	switch {
+	case run.cpu != nil:
+		pprof.StopCPUProfile()
+		cpuProfileBusy.Store(false)
+		data = run.cpu.Bytes()
+	case j.profile == "heap":
+		var buf bytes.Buffer
+		if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
+			j.log.Warn("heap profile failed", "err", err.Error())
+			return
+		}
+		data = buf.Bytes()
+	default:
+		return
+	}
+	// Stored next to the job's checkpoints, under its content key.
+	if err := run.ck.Save("profile."+j.profile, data); err != nil {
+		j.log.Warn("profile not persisted", "err", err.Error())
+	}
+	j.mu.Lock()
+	j.profData = data
+	j.mu.Unlock()
+	j.log.Info("profile captured", "kind", j.profile, "bytes", len(data))
+}
+
+// lookupFinal is the read-through result lookup: the memory cache under
+// the fold key, then — when ck is set — the store's final snapshot
+// under the spec hash, which a hit copies into the cache. An entry that
+// does not decode (codec drift, corruption) is a miss. It returns a
+// private decoded copy and the encoded bytes, ready to share with
+// waiters.
+func (r *Runner) lookupFinal(foldKey string, ck pipeline.Checkpoint) (method string, res *circuitfold.Result, data []byte, ok bool) {
+	if data, ok := r.cache.Get(foldKey); ok {
+		if method, res, err := decodeFinal(data); err == nil {
+			return method, res, data, true
+		}
+	}
+	if ck == nil {
+		return "", nil, nil, false
+	}
+	if data, ok := ck.Load(finalStage); ok {
+		if method, res, err := decodeFinal(data); err == nil {
+			r.cache.Put(foldKey, data)
+			return method, res, data, true
+		}
+	}
+	return "", nil, nil, false
+}
+
+// deliver moves j to done with res, the result method produced. It is
+// the only way a job becomes done: the submit-time cache hit, the
+// worker's read-through hit, the worker's own fold and every dedup
+// waiter come through here. provenance, when set, runs under the job
+// lock to record how the job came by its result; attrs extend the
+// "job done" log line.
+func (r *Runner) deliver(j *Job, method string, res *circuitfold.Result, provenance func(), attrs ...any) {
+	if j.finishWith(StateDone, "", func() {
+		j.method = method
+		j.result = res
+		if provenance != nil {
+			provenance()
+		}
+	}) {
+		j.log.Info("job done", append([]any{"method", method}, attrs...)...)
+	}
 }
 
 // dumpFlight assembles and stores the artifact of a job about to
-// finish in state with error text errText. It runs before the terminal
+// finish in state, with the method that produced its result (done
+// jobs) or its error text (failed ones). It runs before the terminal
 // transition, so a client woken by that transition can fetch the
 // artifact. Best effort end to end: a failed persist still leaves the
 // artifact on the job for the HTTP API.
-func (r *Runner) dumpFlight(j *Job, ck pipeline.Checkpoint, reason string, state State, errText string) {
-	st := j.Status()
+func (r *Runner) dumpFlight(j *Job, ck pipeline.Checkpoint, reason string, state State, method, errText string) {
 	meta := map[string]any{
 		"job_id": j.id,
 		"key":    j.key,
@@ -1248,11 +1229,11 @@ func (r *Runner) dumpFlight(j *Job, ck pipeline.Checkpoint, reason string, state
 	if errText != "" {
 		meta["error"] = errText
 	}
-	if st.Method != "" {
-		meta["method"] = st.Method
+	if method != "" {
+		meta["method"] = method
 	}
-	if st.Cache != "" {
-		meta["cache"] = st.Cache
+	if cache := j.CacheStatus(); cache != "" {
+		meta["cache"] = cache
 	}
 	data, err := json.Marshal(j.flight.Record(meta, j.metrics))
 	if err != nil {

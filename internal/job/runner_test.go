@@ -88,9 +88,9 @@ func TestSpecHash(t *testing.T) {
 }
 
 func TestRunnerRunsJob(t *testing.T) {
-	r := NewRunner(2, nil)
+	r := NewRunnerWith(RunnerOptions{Workers: 2})
 	defer r.Shutdown(context.Background())
-	j, err := r.Submit(smokeSpec())
+	j, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRunnerFinalSnapshotResume(t *testing.T) {
 	// at submit; TestRunnerCacheHit covers that).
 	r := NewRunnerWith(RunnerOptions{Workers: 1, CacheEntries: -1})
 	defer r.Shutdown(context.Background())
-	j1, err := r.Submit(smokeSpec())
+	j1, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRunnerFinalSnapshotResume(t *testing.T) {
 		t.Fatalf("first run status = %+v", st)
 	}
 	// The identical spec is served from its final snapshot.
-	j2, err := r.Submit(smokeSpec())
+	j2, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestJobKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks := &killStore{Store: fs}
-	r1 := NewRunner(1, ks)
+	r1 := NewRunnerWith(RunnerOptions{Workers: 1, Store: ks})
 
 	var once sync.Once
 	ks.onSave = func(stage string) {
@@ -203,7 +203,7 @@ func TestJobKillAndResume(t *testing.T) {
 			})
 		}
 	}
-	killed, err := r1.Submit(smokeSpec())
+	killed, err := r1.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +230,9 @@ func TestJobKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRunner(1, fs2)
+	r2 := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs2})
 	defer r2.Shutdown(context.Background())
-	j, err := r2.Submit(smokeSpec())
+	j, err := r2.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,16 +271,16 @@ func stripReport(r *circuitfold.Result) circuitfold.Result {
 }
 
 func TestRunnerCancelQueued(t *testing.T) {
-	r := NewRunner(1, nil)
+	r := NewRunnerWith(RunnerOptions{Workers: 1})
 	defer r.Shutdown(context.Background())
 	// One worker: the second job stays queued while the first runs.
-	j1, err := r.Submit(smokeSpec())
+	j1, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec2 := smokeSpec()
 	spec2.T = 32
-	j2, err := r.Submit(spec2)
+	j2, err := r.Submit(spec2, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +301,8 @@ func TestRunnerCancelQueued(t *testing.T) {
 }
 
 func TestShutdownDrainsInFlight(t *testing.T) {
-	r := NewRunner(1, nil)
-	j, err := r.Submit(smokeSpec())
+	r := NewRunnerWith(RunnerOptions{Workers: 1})
+	j, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if st := j.Status(); st.State != StateDone {
 		t.Errorf("drained job state = %s (%s)", st.State, st.Error)
 	}
-	if _, err := r.Submit(smokeSpec()); err == nil {
+	if _, err := r.Submit(smokeSpec(), SubmitOptions{}); err == nil {
 		t.Error("submit accepted after shutdown")
 	}
 }
@@ -327,16 +327,16 @@ func TestShutdownDeadlineCancelsAndCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(1, fs)
+	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs})
 	// A heavy fold that cannot finish in the drain window but polls
 	// cancellation and checkpoints completed stages.
 	spec := Spec{Generator: "b14_C", T: 8, Method: MethodFunctional, Reorder: true, Minimize: true}
-	j, err := r.Submit(spec)
+	j, err := r.Submit(spec, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A second, queued job: shutdown cancels it before it starts.
-	q, err := r.Submit(smokeSpec())
+	q, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,8 +361,8 @@ func TestShutdownDeadlineCancelsAndCheckpoints(t *testing.T) {
 func TestRunnerNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		r := NewRunner(4, nil)
-		j, err := r.Submit(Spec{Generator: "adder3", T: 3})
+		r := NewRunnerWith(RunnerOptions{Workers: 4})
+		j, err := r.Submit(Spec{Generator: "adder3", T: 3}, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,9 +95,9 @@ func TestFoldKeyNetlistGeneratorCollision(t *testing.T) {
 }
 
 func TestRunnerCacheHit(t *testing.T) {
-	r := NewRunner(2, nil)
+	r := NewRunnerWith(RunnerOptions{Workers: 2})
 	defer r.Shutdown(context.Background())
-	j1, err := r.Submit(smokeSpec())
+	j1, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRunnerCacheHit(t *testing.T) {
 	if st := j1.Status(); st.State != StateDone || st.Cache != "miss" {
 		t.Fatalf("cold job status = %+v", st)
 	}
-	j2, err := r.Submit(smokeSpec())
+	j2, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRunnerDedupConcurrentIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			jobs[i], errs[i] = r.Submit(smokeSpec())
+			jobs[i], errs[i] = r.Submit(smokeSpec(), SubmitOptions{})
 		}(i)
 	}
 	wg.Wait()
@@ -206,12 +206,12 @@ func TestRunnerDedupWaiterCancel(t *testing.T) {
 	})
 	defer r.Shutdown(context.Background())
 
-	leader, err := r.Submit(smokeSpec())
+	leader, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, leader)
-	waiter, err := r.Submit(smokeSpec())
+	waiter, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestRunnerDedupWaiterCancel(t *testing.T) {
 		t.Errorf("waiter resurrected by the leader's result: %+v", st)
 	}
 	// The flight resolved: the next identical submission is a cache hit.
-	again, err := r.Submit(smokeSpec())
+	again, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,16 +255,16 @@ func TestRunnerDedupLeaderCancelPromotes(t *testing.T) {
 	})
 	defer r.Shutdown(context.Background())
 
-	leader, err := r.Submit(smokeSpec())
+	leader, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, leader)
-	w1, err := r.Submit(smokeSpec())
+	w1, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := r.Submit(smokeSpec())
+	w2, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestRunnerDedupLeaderCancelPromotes(t *testing.T) {
 // consecutive, differently-shaped jobs on one worker each return the
 // result a direct circuitfold.Functional call computes.
 func TestRunnerMatchesDirectFold(t *testing.T) {
-	r := NewRunner(1, nil)
+	r := NewRunnerWith(RunnerOptions{Workers: 1})
 	defer r.Shutdown(context.Background())
 
 	for i, spec := range []Spec{
@@ -305,7 +305,7 @@ func TestRunnerMatchesDirectFold(t *testing.T) {
 		{Generator: "64-adder", T: 8, Reorder: true}, // same worker, new shape
 		{Generator: "adder3", T: 3, Reorder: true, Minimize: true},
 	} {
-		j, err := r.Submit(spec)
+		j, err := r.Submit(spec, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,12 +335,12 @@ func TestRunnerMatchesDirectFold(t *testing.T) {
 func TestRunnerCacheDisabled(t *testing.T) {
 	r := NewRunnerWith(RunnerOptions{Workers: 1, CacheEntries: -1})
 	defer r.Shutdown(context.Background())
-	j1, err := r.Submit(smokeSpec())
+	j1, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wait(t, j1)
-	j2, err := r.Submit(smokeSpec())
+	j2, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,9 +356,9 @@ func TestRunnerCacheDisabled(t *testing.T) {
 
 // TestRunnerStatusJSONCache pins the wire shape of the cache verdict.
 func TestRunnerStatusJSONCache(t *testing.T) {
-	r := NewRunner(1, nil)
+	r := NewRunnerWith(RunnerOptions{Workers: 1})
 	defer r.Shutdown(context.Background())
-	j, err := r.Submit(smokeSpec())
+	j, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,16 +383,16 @@ func TestRunnerDedupPromoteCanceledWaiterNoLeak(t *testing.T) {
 			Workers: 1,
 			Store:   &gateStore{Store: NewMemStore(), gate: gate},
 		})
-		leader, err := r.Submit(smokeSpec())
+		leader, err := r.Submit(smokeSpec(), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitRunning(t, leader)
-		w1, err := r.Submit(smokeSpec())
+		w1, err := r.Submit(smokeSpec(), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		w2, err := r.Submit(smokeSpec())
+		w2, err := r.Submit(smokeSpec(), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,17 +440,17 @@ func TestRunnerPromoteJoinsNewLeader(t *testing.T) {
 	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: &gateStore{Store: NewMemStore(), gate: gate}})
 	defer r.Shutdown(context.Background())
 	defer close(gate)
-	leader, err := r.Submit(smokeSpec())
+	leader, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, leader)
-	w, err := r.Submit(smokeSpec())
+	w, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waiters := r.detachFlight(leader) // what the worker does before a terminal transition
-	next, err := r.Submit(smokeSpec())
+	next, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestRunnerPromoteJoinsNewLeader(t *testing.T) {
 	r.Cancel(leader.ID())
 	gate <- struct{}{}
 	wait(t, leader)
-	r.settleWaiters(leader, waiters)
+	r.settleWaiters(leader, waiters, nil)
 	if st := w.Status(); st.Cache != "attached" || st.State != StateQueued {
 		t.Fatalf("waiter of the canceled leader = %+v, want attached to the new leader", st)
 	}
@@ -469,5 +469,146 @@ func TestRunnerPromoteJoinsNewLeader(t *testing.T) {
 	wait(t, w)
 	if st := w.Status(); st.State != StateDone {
 		t.Fatalf("waiter = %+v (%s), want done", st, st.Error)
+	}
+}
+
+// aagSpec is spec with its generator replaced by an AAG upload of the
+// same AIG: a different spec hash over the same fold key.
+func aagSpec(t *testing.T, spec Spec) Spec {
+	t.Helper()
+	g, err := circuitfold.Benchmark(spec.Generator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := circuitfold.WriteAAG(&buf, &circuitfold.Sequential{G: g, NumInputs: g.NumPIs()}); err != nil {
+		t.Fatal(err)
+	}
+	spec.Generator, spec.Netlist = "", &Netlist{Format: "aag", Text: buf.String()}
+	return spec
+}
+
+// submitWait submits spec and waits for the job to finish.
+func submitWait(t *testing.T, r *Runner, spec Spec) *Job {
+	t.Helper()
+	j, err := r.Submit(spec, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, j)
+	return j
+}
+
+// TestServePathIdentity is the result path's identity gate. Each spec
+// is served along every path a finished fold takes: cold, memory hit,
+// store hit with the cache off, attached waiter, promoted waiter, and a
+// fresh runner over the same FileStore. Every path must report its
+// provenance, return the bytes of the cold fold of the same fold key,
+// and hold a Result of its own.
+func TestServePathIdentity(t *testing.T) {
+	type path struct {
+		name          string
+		cache         string
+		resumedResult bool
+	}
+	want := map[string][]byte{}                   // fold key -> cold fold's bytes
+	owner := map[*circuitfold.Sequential]string{} // Result.Seq -> serving path
+	check := func(t *testing.T, p path, j *Job) {
+		t.Helper()
+		st := j.Status()
+		if st.State != StateDone || st.Cache != p.cache || st.ResumedResult != p.resumedResult {
+			t.Fatalf("%s: status = %+v, want done, cache %q, resumed_result %v",
+				p.name, st, p.cache, p.resumedResult)
+		}
+		data := encodeJob(t, j)
+		if w, ok := want[j.FoldKey()]; !ok {
+			want[j.FoldKey()] = data
+		} else if !bytes.Equal(w, data) {
+			t.Errorf("%s: result differs from the cold fold", p.name)
+		}
+		res, _ := j.Result()
+		if prev, ok := owner[res.Seq]; ok {
+			t.Errorf("%s: Result.Seq shared with %s", p.name, prev)
+		}
+		owner[res.Seq] = p.name
+	}
+
+	for _, spec := range []Spec{
+		smokeSpec(),
+		aagSpec(t, smokeSpec()),
+		{Generator: "64-adder", T: 8, Method: MethodResilient},
+		{Generator: "64-adder", T: 8, Method: MethodHybrid},
+	} {
+		name := spec.Generator + "/" + spec.EffectiveMethod()
+		if spec.Netlist != nil {
+			name = "aag/" + spec.EffectiveMethod()
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs})
+			// The generator and the upload share a fold key: whichever
+			// runs second on a fresh runner is still a cold fold here.
+			check(t, path{"cold", "miss", false}, submitWait(t, r, spec))
+			hit := submitWait(t, r, spec)
+			check(t, path{"memory hit", "hit", false}, hit)
+			if hit.Status().StartedAt != "" {
+				t.Error("memory hit reached a worker")
+			}
+			r.Shutdown(context.Background())
+
+			// A restarted daemon: the worker reads the final snapshot
+			// through into the empty cache.
+			fs2, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2 := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs2})
+			check(t, path{"fresh runner", "miss", true}, submitWait(t, r2, spec))
+			r2.Shutdown(context.Background())
+
+			// Cache off: an identical resubmission reaches the worker,
+			// which serves the store's snapshot.
+			off := NewRunnerWith(RunnerOptions{Workers: 1, CacheEntries: -1})
+			check(t, path{"cold, cache off", "miss", false}, submitWait(t, off, spec))
+			check(t, path{"store hit", "miss", true}, submitWait(t, off, spec))
+			if hits := off.Metrics().Counter(obs.MJobCacheHits).Value(); hits != 0 {
+				t.Errorf("cache_hits = %d with cache disabled", hits)
+			}
+			off.Shutdown(context.Background())
+
+			// Waiters: the leader is canceled while it waits on the
+			// store, the first waiter is promoted and folds, and the
+			// second receives the promoted leader's bytes.
+			gate := make(chan struct{})
+			gr := NewRunnerWith(RunnerOptions{Workers: 1, Store: &gateStore{Store: NewMemStore(), gate: gate}})
+			defer gr.Shutdown(context.Background())
+			leader, err := gr.Submit(spec, SubmitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitRunning(t, leader)
+			w1, err := gr.Submit(spec, SubmitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w2, err := gr.Submit(spec, SubmitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr.Cancel(leader.ID())
+			close(gate)
+			wait(t, leader)
+			if st := leader.Status(); st.State != StateCanceled {
+				t.Fatalf("canceled leader = %+v", st)
+			}
+			wait(t, w1)
+			wait(t, w2)
+			check(t, path{"promoted waiter", "miss", false}, w1)
+			check(t, path{"attached waiter", "attached", false}, w2)
+		})
 	}
 }

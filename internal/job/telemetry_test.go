@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"circuitfold/internal/fault"
 	"circuitfold/internal/obs"
@@ -125,7 +124,7 @@ func TestServeFlightRecorder(t *testing.T) {
 // job: content type, per-stage latency histograms, HTTP accounting,
 // and the OpenMetrics terminator.
 func TestServeOpenMetrics(t *testing.T) {
-	runner := NewRunner(1, nil)
+	runner := NewRunnerWith(RunnerOptions{Workers: 1})
 	defer runner.Shutdown(context.Background())
 	srv := httptest.NewServer(Handler(runner))
 	defer srv.Close()
@@ -173,7 +172,7 @@ func TestServeOpenMetrics(t *testing.T) {
 // TestServeReadiness splits the probes: liveness always answers,
 // readiness turns 503 with a reason once the runner stops accepting.
 func TestServeReadiness(t *testing.T) {
-	runner := NewRunner(1, nil)
+	runner := NewRunnerWith(RunnerOptions{Workers: 1})
 	srv := httptest.NewServer(Handler(runner))
 	defer srv.Close()
 
@@ -194,7 +193,7 @@ func TestServeReadiness(t *testing.T) {
 // TestServeProfileCapture submits with ?profile=heap and downloads the
 // captured pprof artifact once the job is terminal.
 func TestServeProfileCapture(t *testing.T) {
-	runner := NewRunner(1, nil)
+	runner := NewRunnerWith(RunnerOptions{Workers: 1})
 	defer runner.Shutdown(context.Background())
 	srv := httptest.NewServer(Handler(runner))
 	defer srv.Close()
@@ -213,17 +212,10 @@ func TestServeProfileCapture(t *testing.T) {
 	if got := j.Status(); got.State != StateDone {
 		t.Fatalf("job finished %s: %s", got.State, got.Error)
 	}
-	// The profile is written after the terminal state; poll briefly.
-	deadlineOK := false
-	for i := 0; i < 500; i++ {
-		if _, _, ok := j.Profile(); ok {
-			deadlineOK = true
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !deadlineOK {
-		t.Fatal("profile never captured")
+	// The profile is captured before the terminal transition: a client
+	// woken by it finds the profile at once.
+	if _, _, ok := j.Profile(); !ok {
+		t.Fatal("profile not captured by the time the job is done")
 	}
 	resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/profile")
 	if err != nil {
