@@ -65,7 +65,8 @@ serve-smoke:
 # kernel against truth tables, the degradation ladder under injected
 # faults, the machine checkpoint decoder against arbitrary blobs, the
 # uploaded-netlist readers (aag, blif, bench) against arbitrary text,
-# and state encoding against its per-transition reference.
+# state encoding against its per-transition reference, and the fold
+# service's final-snapshot header parse against arbitrary bytes.
 # go test -fuzz takes one target per package, hence one line each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBDDOps$$' -fuzztime 10s ./internal/bdd
@@ -73,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMachine$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadNetlist$$' -fuzztime 10s ./internal/cio
 	$(GO) test -run '^$$' -fuzz '^FuzzEncode$$' -fuzztime 10s ./internal/fsm
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFinal$$' -fuzztime 10s ./internal/job
 
 # chaos is the crash-safety gate, under the race detector: 20 rounds of
 # recover -> submit -> kill over one persistent journal + checkpoint

@@ -5,10 +5,11 @@
 // snapshot stored under a structural key serves every later
 // submission with the same structure — generator or uploaded netlist
 // alike — without touching an engine. The cache stores opaque bytes
-// (the versioned core.EncodeResult envelope) rather than decoded
-// results: entries cost exactly their serialized size, and a hit
-// decodes into a private Result, so cached jobs cannot alias each
-// other's circuits.
+// (the fold service's final snapshot: a header line and the
+// core.EncodeResult bytes) rather than decoded results: entries cost
+// exactly their serialized size, and a hit hands out the stored slice
+// itself, never copied, which every job served from it shares
+// read-only and decodes on demand into a private Result.
 package cache
 
 import (

@@ -168,29 +168,31 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := j.Result()
+	// The json body is the job's encoded result as it is; the netlist
+	// formats decode a private copy.
+	data, err := j.resultBytes()
 	if err != nil {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		data, err := core.EncodeResult(res)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encode: %v", err)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
-	case "aag":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := cio.WriteAAG(w, res.Seq); err != nil {
-			httpError(w, http.StatusInternalServerError, "write aag: %v", err)
+	case "aag", "blif":
+		res, err := core.DecodeResult(data)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "decode: %v", err)
+			return
 		}
-	case "blif":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := cio.WriteBLIF(w, res.Seq, "fold_"+j.ID()); err != nil {
-			httpError(w, http.StatusInternalServerError, "write blif: %v", err)
+		if format == "aag" {
+			err = cio.WriteAAG(w, res.Seq)
+		} else {
+			err = cio.WriteBLIF(w, res.Seq, "fold_"+j.ID())
+		}
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "write %s: %v", format, err)
 		}
 	default:
 		httpError(w, http.StatusBadRequest, "unknown format %q (want json, aag or blif)", format)

@@ -96,7 +96,7 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	cancel    context.CancelFunc
-	result    *circuitfold.Result
+	fin       *final // the finished fold, set when done; shared, read-only
 	flightRec []byte // flight-recorder artifact, set on dump
 	profData  []byte // captured pprof profile, set before the terminal transition
 }
@@ -161,15 +161,27 @@ func (j *Job) Profile() (kind string, data []byte, ok bool) {
 	return j.profile, j.profData, true
 }
 
-// Result returns the fold result, or an error while the job is not
-// Done.
+// Result decodes the fold result, or returns an error while the job is
+// not Done. Each call decodes a private copy from the encoded result
+// the job shares with the cache and with other jobs of its fold key, so
+// callers may mutate what they get.
 func (j *Job) Result() (*circuitfold.Result, error) {
+	data, err := j.resultBytes()
+	if err != nil {
+		return nil, err
+	}
+	return core.DecodeResult(data)
+}
+
+// resultBytes returns the done job's encoded result (core.EncodeResult),
+// the body GET /result serves. The bytes are shared and read-only.
+func (j *Job) resultBytes() ([]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
 		return nil, fmt.Errorf("job: %s is %s, not done", j.id, j.state)
 	}
-	return j.result, nil
+	return j.fin.body, nil
 }
 
 // Status is the job's JSON view.
@@ -239,13 +251,10 @@ func (j *Job) Status() Status {
 	if !j.finished.IsZero() {
 		st.FinishedAt = j.finished.UTC().Format(time.RFC3339Nano)
 	}
-	if j.state == StateDone && j.result != nil {
-		st.InputPins = j.result.InputPins()
-		st.OutputPins = j.result.OutputPins()
-		st.FlipFlops = j.result.FlipFlops()
-		st.Gates = j.result.Gates()
-		st.States = j.result.States
-		st.StatesMin = j.result.StatesMin
+	if j.state == StateDone {
+		h := j.fin.finalHeader
+		st.InputPins, st.OutputPins, st.FlipFlops = h.InputPins, h.OutputPins, h.FlipFlops
+		st.Gates, st.States, st.StatesMin = h.Gates, h.States, h.StatesMin
 	}
 	return st
 }
@@ -484,11 +493,10 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 	// the lock.
 	key, foldKey := spec.Hash(), spec.FoldKey(g)
 	// The submit path reads the memory tier only, and before r.mu is
-	// taken: decoding a large result never stalls other submit, status
-	// and list calls, and the request does no disk I/O. A leader that
-	// settles between this lookup and the lock makes the submission
-	// lead again; its worker's read-through lookup then serves it.
-	hitMethod, hitRes, _, hit := r.lookupFinal(foldKey, nil)
+	// taken, so the request does no disk I/O. A leader that settles
+	// between this lookup and the lock makes the submission lead again;
+	// its worker's read-through lookup then serves it.
+	hitFin, hit := r.lookupFinal(foldKey, nil)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -534,7 +542,7 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 		r.metrics.Counter(obs.MJobCacheHits).Add(1)
 		j.log.Info("job submitted",
 			"method", j.spec.EffectiveMethod(), "t", j.spec.T, "cache", "hit")
-		r.deliver(j, hitMethod, hitRes, func() { j.cacheStat = "hit" }, "cache", "hit")
+		r.deliver(j, hitFin, func() { j.cacheStat = "hit" }, "cache", "hit")
 		return j, nil
 	}
 	if fl, ok := r.inflight[j.foldKey]; ok {
@@ -693,13 +701,12 @@ func (r *Runner) detachFlight(leader *Job) []*Job {
 }
 
 // settleWaiters resolves the waiters detached from a terminal leader.
-// When the leader is done, data is its encoded result: each waiter
-// decodes a private copy (bit-identical by construction, never
-// aliased), and waiters left without decodable bytes fold for
-// themselves. Failed waiters inherit the leader's failure, and a
-// canceled leader promotes the first still-live waiter so attached
-// work survives user cancellation.
-func (r *Runner) settleWaiters(leader *Job, waiters []*Job, data []byte) {
+// When the leader is done, fin is its finished fold: every waiter gets
+// the same read-only bytes, and Result decodes a private copy per call.
+// Failed waiters inherit the leader's failure, and a canceled leader
+// promotes the first still-live waiter so attached work survives user
+// cancellation.
+func (r *Runner) settleWaiters(leader *Job, waiters []*Job, fin *final) {
 	if len(waiters) == 0 {
 		return
 	}
@@ -708,16 +715,9 @@ func (r *Runner) settleWaiters(leader *Job, waiters []*Job, data []byte) {
 	leader.mu.Unlock()
 	switch state {
 	case StateDone:
-		var unshared []*Job
 		for _, w := range waiters {
-			method, res, err := decodeFinal(data)
-			if err != nil {
-				unshared = append(unshared, w)
-				continue
-			}
-			r.deliver(w, method, res, nil, "cache", "attached", "leader", leader.id)
+			r.deliver(w, fin, nil, "cache", "attached", "leader", leader.id)
 		}
-		r.promote(leader, unshared)
 	case StateFailed:
 		for _, w := range waiters {
 			if w.finish(StateFailed, errText) {
@@ -917,9 +917,9 @@ func (r *Runner) runJob(j *Job) {
 		return
 	}
 	defer r.stop(run)
-	if method, res, data, ok := r.lookupFinal(j.foldKey, run.ck); ok {
-		r.terminate(j, run, data, func() {
-			r.deliver(j, method, res, func() { j.fromSnap = true }, "resumed_result", true)
+	if fin, ok := r.lookupFinal(j.foldKey, run.ck); ok {
+		r.terminate(j, run, fin, func() {
+			r.deliver(j, fin, func() { j.fromSnap = true }, "resumed_result", true)
 		})
 		return
 	}
@@ -1103,13 +1103,21 @@ func (r *Runner) settle(j *Job, run *jobRun, method string, res *circuitfold.Res
 			r.metrics.Timing(obs.StageSeconds(ss.Name)).Observe(ss.Duration)
 		}
 	}
-	data, encErr := encodeFinal(method, res)
-	if encErr == nil {
-		_ = run.ck.Save(finalStage, data) // best effort: resume is an optimization
-		r.cache.Put(j.foldKey, data)
-	} else {
-		j.log.Warn("result not encodable; not persisted or shared", "err", encErr.Error())
+	data, fin, err := encodeFinal(method, res)
+	if err != nil {
+		// The fold has no bytes to keep or share: the job fails, nothing
+		// is saved or cached, and its waiters fold for themselves.
+		msg := "result not encodable: " + err.Error()
+		j.log.Error("job failed", "err", msg, "method", method, "run_seconds", runDur.Seconds())
+		r.dumpFlight(j, run.ck, "failed", StateFailed, "", msg)
+		r.captureProfile(j, run)
+		waiters := r.detachFlight(j)
+		j.finish(StateFailed, msg)
+		r.promote(j, waiters)
+		return
 	}
+	_ = run.ck.Save(finalStage, data) // best effort: resume is an optimization
+	r.cache.Put(j.foldKey, data)
 	// A fold that succeeded the hard way still dumps its black box:
 	// recovered panics and degradation-ladder descents are incidents
 	// an operator wants the context for, even with a green result.
@@ -1118,8 +1126,8 @@ func (r *Runner) settle(j *Job, run *jobRun, method string, res *circuitfold.Res
 	} else if j.metrics.Counter(obs.MFoldFallbacks).Value() > 0 {
 		r.dumpFlight(j, run.ck, "degraded", StateDone, method, "")
 	}
-	r.terminate(j, run, data, func() {
-		r.deliver(j, method, res, func() { j.resumed = resumed }, "run_seconds", runDur.Seconds(),
+	r.terminate(j, run, fin, func() {
+		r.deliver(j, fin, func() { j.resumed = resumed }, "run_seconds", runDur.Seconds(),
 			"states", res.States, "gates", res.Gates())
 	})
 }
@@ -1129,15 +1137,15 @@ func (r *Runner) settle(j *Job, run *jobRun, method string, res *circuitfold.Res
 // woken by the transition can fetch the profile, and a resubmission
 // made at that moment folds or hits the cache instead of attaching to a
 // finished leader. Then transition runs, and the waiters settle on
-// data, the encoded result when the job is done. run is nil for a job
+// fin, the finished fold when the job is done. run is nil for a job
 // that ended in start.
-func (r *Runner) terminate(j *Job, run *jobRun, data []byte, transition func()) {
+func (r *Runner) terminate(j *Job, run *jobRun, fin *final, transition func()) {
 	if run != nil {
 		r.captureProfile(j, run)
 	}
 	waiters := r.detachFlight(j)
 	transition()
-	r.settleWaiters(j, waiters, data)
+	r.settleWaiters(j, waiters, fin)
 }
 
 // captureProfile ends the job's requested profile and attaches it: the
@@ -1173,43 +1181,50 @@ func (r *Runner) captureProfile(j *Job, run *jobRun) {
 
 // lookupFinal is the read-through result lookup: the memory cache under
 // the fold key, then — when ck is set — the store's final snapshot
-// under the spec hash, which a hit copies into the cache. An entry that
-// does not decode (codec drift, corruption) is a miss. It returns a
-// private decoded copy and the encoded bytes, ready to share with
-// waiters.
-func (r *Runner) lookupFinal(foldKey string, ck pipeline.Checkpoint) (method string, res *circuitfold.Result, data []byte, ok bool) {
+// under the spec hash, which a hit copies into the cache. A memory hit
+// parses only the snapshot's header: the cache checksums every entry,
+// and an entry only ever comes from encodeFinal or from a store read
+// that passed the full check below. A store snapshot must decode in
+// full and agree with its header; one that does not (an older framing,
+// codec drift, a bug) is a miss and never enters the cache.
+func (r *Runner) lookupFinal(foldKey string, ck pipeline.Checkpoint) (*final, bool) {
 	if data, ok := r.cache.Get(foldKey); ok {
-		if method, res, err := decodeFinal(data); err == nil {
-			return method, res, data, true
+		if fin, err := parseFinal(data); err == nil {
+			return fin, true
 		}
 	}
 	if ck == nil {
-		return "", nil, nil, false
+		return nil, false
 	}
-	if data, ok := ck.Load(finalStage); ok {
-		if method, res, err := decodeFinal(data); err == nil {
-			r.cache.Put(foldKey, data)
-			return method, res, data, true
-		}
+	data, ok := ck.Load(finalStage)
+	if !ok {
+		return nil, false
 	}
-	return "", nil, nil, false
+	fin, err := parseFinal(data)
+	if err != nil {
+		return nil, false
+	}
+	if res, err := core.DecodeResult(fin.body); err != nil || headerOf(fin.Method, res) != fin.finalHeader {
+		return nil, false
+	}
+	r.cache.Put(foldKey, data)
+	return fin, true
 }
 
-// deliver moves j to done with res, the result method produced. It is
-// the only way a job becomes done: the submit-time cache hit, the
-// worker's read-through hit, the worker's own fold and every dedup
-// waiter come through here. provenance, when set, runs under the job
-// lock to record how the job came by its result; attrs extend the
-// "job done" log line.
-func (r *Runner) deliver(j *Job, method string, res *circuitfold.Result, provenance func(), attrs ...any) {
+// deliver moves j to done with fin. It is the only way a job becomes
+// done: the submit-time cache hit, the worker's read-through hit, the
+// worker's own fold and every dedup waiter come through here.
+// provenance, when set, runs under the job lock to record how the job
+// came by its result; attrs extend the "job done" log line.
+func (r *Runner) deliver(j *Job, fin *final, provenance func(), attrs ...any) {
 	if j.finishWith(StateDone, "", func() {
-		j.method = method
-		j.result = res
+		j.method = fin.Method
+		j.fin = fin
 		if provenance != nil {
 			provenance()
 		}
 	}) {
-		j.log.Info("job done", append([]any{"method", method}, attrs...)...)
+		j.log.Info("job done", append([]any{"method", fin.Method}, attrs...)...)
 	}
 }
 
@@ -1250,34 +1265,79 @@ func (r *Runner) dumpFlight(j *Job, ck pipeline.Checkpoint, reason string, state
 	j.log.Warn("flight record dumped", "reason", reason, "bytes", len(data))
 }
 
-// finalJSON is the final-snapshot envelope.
-type finalJSON struct {
-	V      int             `json:"v"`
-	Method string          `json:"method"`
-	Result json.RawMessage `json:"result"`
+// finalVersion is the final snapshot's framing version. Version 1 was
+// a JSON envelope around the encoded result; a v1 snapshot fails to
+// parse, so it reads as a miss and the job folds again.
+const finalVersion = 2
+
+// finalHeader is the final snapshot's first line: the method that won
+// and the fold's shape, which is all Status needs.
+type finalHeader struct {
+	V          int    `json:"v"`
+	Method     string `json:"method"`
+	InputPins  int    `json:"input_pins"`
+	OutputPins int    `json:"output_pins"`
+	FlipFlops  int    `json:"flip_flops"`
+	Gates      int    `json:"gates"`
+	States     int    `json:"states"`
+	StatesMin  int    `json:"states_min"`
 }
 
-// encodeFinal serializes a finished fold with the method that won.
-func encodeFinal(method string, res *circuitfold.Result) ([]byte, error) {
-	data, err := core.EncodeResult(res)
-	if err != nil {
-		return nil, err
+// headerOf is the header of res folded by method.
+func headerOf(method string, res *circuitfold.Result) finalHeader {
+	return finalHeader{
+		V:          finalVersion,
+		Method:     method,
+		InputPins:  res.InputPins(),
+		OutputPins: res.OutputPins(),
+		FlipFlops:  res.FlipFlops(),
+		Gates:      res.Gates(),
+		States:     res.States,
+		StatesMin:  res.StatesMin,
 	}
-	return json.Marshal(finalJSON{V: core.ResultCodecVersion, Method: method, Result: data})
 }
 
-// decodeFinal is the inverse of encodeFinal.
-func decodeFinal(data []byte) (string, *circuitfold.Result, error) {
-	var f finalJSON
-	if err := json.Unmarshal(data, &f); err != nil {
-		return "", nil, err
-	}
-	if f.V != core.ResultCodecVersion {
-		return "", nil, fmt.Errorf("job: final snapshot version %d, want %d", f.V, core.ResultCodecVersion)
-	}
-	res, err := core.DecodeResult(f.Result)
+// final is a finished fold as a done job holds it: the parsed header
+// and body, the exact core.EncodeResult bytes. body aliases the
+// snapshot, which the cache and every job of the fold key share; it is
+// never copied and never written.
+type final struct {
+	finalHeader
+	body []byte
+}
+
+// encodeFinal serializes a finished fold as its final snapshot: the
+// header line, a newline, then core.EncodeResult's bytes. It returns
+// the snapshot and the parsed form over it.
+func encodeFinal(method string, res *circuitfold.Result) ([]byte, *final, error) {
+	body, err := core.EncodeResult(res)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	return f.Method, res, nil
+	h := headerOf(method, res)
+	head, err := json.Marshal(h)
+	if err != nil {
+		return nil, nil, err
+	}
+	data := make([]byte, 0, len(head)+1+len(body))
+	data = append(append(append(data, head...), '\n'), body...)
+	return data, &final{finalHeader: h, body: data[len(head)+1:]}, nil
+}
+
+// parseFinal parses a final snapshot's header. The body is not
+// decoded: it is returned as a subslice of data. JSON never holds a raw
+// newline, so the header ends at the first one.
+func parseFinal(data []byte) (*final, error) {
+	i := bytes.IndexByte(data, '\n')
+	if i < 0 {
+		return nil, errors.New("job: final snapshot has no header line")
+	}
+	fin := &final{body: data[i+1:]}
+	if err := json.Unmarshal(data[:i], &fin.finalHeader); err != nil {
+		return nil, fmt.Errorf("job: final snapshot header: %w", err)
+	}
+	if fin.V != finalVersion {
+		return nil, fmt.Errorf("job: final snapshot version %d, want %d", fin.V, finalVersion)
+	}
+	return fin, nil
 }

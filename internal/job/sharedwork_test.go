@@ -3,14 +3,19 @@ package job
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"circuitfold"
+	"circuitfold/internal/core"
 	"circuitfold/internal/obs"
 	"circuitfold/internal/pipeline"
 )
@@ -37,7 +42,7 @@ func encodeJob(t *testing.T, j *Job) []byte {
 		t.Fatalf("%s: %v", j.ID(), err)
 	}
 	res2 := stripReport(res)
-	data, err := encodeFinal(j.Status().Method, &res2)
+	data, _, err := encodeFinal(j.Status().Method, &res2)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", j.ID(), err)
 	}
@@ -499,12 +504,25 @@ func submitWait(t *testing.T, r *Runner, spec Spec) *Job {
 	return j
 }
 
+// getResult fetches j's GET /result body (json) from its runner's API.
+func getResult(t *testing.T, j *Job) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	NewServer(j.r).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID()+"/result", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: GET /result = %d: %s", j.ID(), rec.Code, rec.Body.Bytes())
+	}
+	return rec.Body.Bytes()
+}
+
 // TestServePathIdentity is the result path's identity gate. Each spec
 // is served along every path a finished fold takes: cold, memory hit,
 // store hit with the cache off, attached waiter, promoted waiter, and a
 // fresh runner over the same FileStore. Every path must report its
 // provenance, return the bytes of the cold fold of the same fold key,
-// and hold a Result of its own.
+// serve GET /result as core.EncodeResult of its decoded Result (what a
+// runner that re-encoded per request served), report the Result's
+// shape in its Status, and decode a Result of its own on every call.
 func TestServePathIdentity(t *testing.T) {
 	type path struct {
 		name          string
@@ -527,10 +545,24 @@ func TestServePathIdentity(t *testing.T) {
 			t.Errorf("%s: result differs from the cold fold", p.name)
 		}
 		res, _ := j.Result()
-		if prev, ok := owner[res.Seq]; ok {
-			t.Errorf("%s: Result.Seq shared with %s", p.name, prev)
+		again, _ := j.Result()
+		reencoded, err := core.EncodeResult(res)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", p.name, err)
 		}
-		owner[res.Seq] = p.name
+		if !bytes.Equal(getResult(t, j), reencoded) {
+			t.Errorf("%s: GET /result body is not core.EncodeResult(Result())", p.name)
+		}
+		shape := [6]int{st.InputPins, st.OutputPins, st.FlipFlops, st.Gates, st.States, st.StatesMin}
+		if w := [6]int{res.InputPins(), res.OutputPins(), res.FlipFlops(), res.Gates(), res.States, res.StatesMin}; shape != w {
+			t.Errorf("%s: status shape %v, decoded Result has %v", p.name, shape, w)
+		}
+		for _, seq := range []*circuitfold.Sequential{res.Seq, again.Seq} {
+			if prev, ok := owner[seq]; ok {
+				t.Errorf("%s: Result.Seq shared with %s", p.name, prev)
+			}
+			owner[seq] = p.name
+		}
 	}
 
 	for _, spec := range []Spec{
@@ -611,4 +643,175 @@ func TestServePathIdentity(t *testing.T) {
 			check(t, path{"attached waiter", "attached", false}, w2)
 		})
 	}
+}
+
+// TestStoreSnapshotValidation: a store snapshot is served only if it
+// decodes in full and agrees with its header. A snapshot that passes
+// the store's checksum but not that check, and one in the older v1
+// envelope, are misses: neither enters the cache, and the job folds
+// again to the same result.
+func TestStoreSnapshotValidation(t *testing.T) {
+	spec := smokeSpec()
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs})
+	cold := submitWait(t, r, spec)
+	want := encodeJob(t, cold)
+	r.Shutdown(context.Background())
+
+	data, ok := fs.Checkpoint(cold.Key()).Load(finalStage)
+	if !ok {
+		t.Fatal("no final snapshot saved")
+	}
+	fin, err := parseFinal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := data[:len(data)-len(fin.body)]
+	lying := fin.finalHeader
+	lying.Gates++
+	lyingHead, err := json.Marshal(lying)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := json.Marshal(struct {
+		V      int             `json:"v"`
+		Method string          `json:"method"`
+		Result json.RawMessage `json:"result"`
+	}{1, fin.Method, fin.body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		snap []byte
+	}{
+		{"truncated body", append(append([]byte(nil), head...), fin.body[:len(fin.body)/2]...)},
+		{"header disagrees", append(append(lyingHead, '\n'), fin.body...)},
+		{"v1 envelope", v1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck := fs.Checkpoint(cold.Key())
+			if err := ck.Save(finalStage, tc.snap); err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs})
+			defer r.Shutdown(context.Background())
+			if _, ok := r.lookupFinal(cold.FoldKey(), ck); ok {
+				t.Fatal("invalid snapshot served")
+			}
+			if n := r.cache.Len(); n != 0 {
+				t.Fatalf("invalid snapshot entered the cache (%d entries)", n)
+			}
+			j := submitWait(t, r, spec)
+			if st := j.Status(); st.State != StateDone || st.Cache != "miss" || st.ResumedResult {
+				t.Fatalf("status = %+v, want a cold fold", st)
+			}
+			if !bytes.Equal(want, encodeJob(t, j)) {
+				t.Error("re-fold differs from the original fold")
+			}
+		})
+	}
+}
+
+// TestRunnerUnencodableResult: a fold whose result cannot be encoded
+// fails its job with a clear error, is neither saved nor cached, and
+// its waiters are promoted to fold for themselves.
+func TestRunnerUnencodableResult(t *testing.T) {
+	gate := make(chan struct{})
+	store := NewMemStore()
+	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: &gateStore{Store: store, gate: gate}})
+	defer r.Shutdown(context.Background())
+	leader, err := r.Submit(smokeSpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, leader) // its worker now waits at the gate
+	w1, err := r.Submit(smokeSpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := r.Submit(smokeSpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Settle the leader as its worker would, with a result that has no
+	// circuit to encode.
+	ck := store.Checkpoint(leader.Key())
+	r.settle(leader, &jobRun{ck: ck}, MethodFunctional, &circuitfold.Result{T: smokeSpec().T}, nil)
+	st := leader.Status()
+	if st.State != StateFailed || !strings.HasPrefix(st.Error, "result not encodable") {
+		t.Fatalf("leader = %+v, want failed: result not encodable", st)
+	}
+	if _, ok := ck.Load(finalStage); ok {
+		t.Error("unencodable result saved a final snapshot")
+	}
+	if n := r.cache.Len(); n != 0 {
+		t.Errorf("unencodable result cached (%d entries)", n)
+	}
+	if st := w1.Status(); st.State != StateQueued || st.Cache != "miss" {
+		t.Errorf("first waiter = %+v, want promoted", st)
+	}
+	if st := w2.Status(); st.State != StateQueued || st.Cache != "attached" {
+		t.Errorf("second waiter = %+v, want attached to the promoted one", st)
+	}
+
+	close(gate)
+	wait(t, w1)
+	wait(t, w2)
+	for _, w := range []*Job{w1, w2} {
+		if st := w.Status(); st.State != StateDone {
+			t.Fatalf("%s = %+v (%s), want done", w.ID(), st, st.Error)
+		}
+	}
+	if !bytes.Equal(encodeJob(t, w1), encodeJob(t, w2)) {
+		t.Error("promoted waiters' results differ")
+	}
+	if st := leader.Status(); st.State != StateFailed {
+		t.Errorf("leader left failed state: %+v", st)
+	}
+}
+
+// FuzzParseFinal: the final snapshot's header parse never panics on
+// arbitrary bytes, and a parse that succeeds returns everything after
+// the first newline as the body.
+func FuzzParseFinal(f *testing.F) {
+	g, err := circuitfold.Benchmark("adder3")
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := circuitfold.Simple(g, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap, fin, err := encodeFinal(MethodSimple, res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap)
+	f.Add(fin.body)
+	f.Add([]byte(`{"v":1,"method":"simple","result":{}}`))
+	f.Add([]byte("\n"))
+	f.Add([]byte(`{"v":2}` + "\n"))
+	f.Add([]byte(`{"v":2,"gates":-1,"method":null}` + "\n\n{"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fin, err := parseFinal(data)
+		if err != nil {
+			return
+		}
+		if fin.V != finalVersion {
+			t.Fatalf("parsed version %d", fin.V)
+		}
+		if i := bytes.IndexByte(data, '\n'); !bytes.Equal(fin.body, data[i+1:]) {
+			t.Fatal("body is not the bytes after the header line")
+		}
+	})
 }
