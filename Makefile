@@ -120,9 +120,9 @@ bench-fold-smoke:
 # race detector: the throughput lane (cold folds vs warm-cache
 # resubmissions through the in-process runner at client concurrency
 # 1/8/64) with a small job count, written to a temporary file. It
-# proves the cache and the in-flight dedup stay race-clean under
-# concurrent submission — and the lane's own warm speedup number makes
-# a broken cache obvious. The committed BENCH_throughput.json baseline
+# proves the result cache stays race-clean under concurrent submission
+# — and the lane's own warm speedup number makes a broken cache
+# obvious. The committed BENCH_throughput.json baseline
 # is refreshed intentionally (no -race, full job count) with: make bench
 bench-throughput-smoke:
 	tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \

@@ -19,10 +19,11 @@ func ReadBench(r io.Reader) (*seq.Circuit, error) {
 
 	var inputs, outputs []string
 	type gate struct {
-		op   string
-		args []string
+		op       string
+		args     []string
+		building bool // on the build stack; once built, the gate is in sig
 	}
-	gates := map[string]gate{}
+	gates := map[string]*gate{}
 	var dffOrder []string
 
 	for sc.Scan() {
@@ -52,7 +53,7 @@ func ReadBench(r io.Reader) (*seq.Circuit, error) {
 			for i := range args {
 				args[i] = strings.TrimSpace(args[i])
 			}
-			gates[name] = gate{op: op, args: args}
+			gates[name] = &gate{op: op, args: args}
 			if op == "DFF" {
 				dffOrder = append(dffOrder, name)
 			}
@@ -71,52 +72,74 @@ func ReadBench(r io.Reader) (*seq.Circuit, error) {
 		sig[d] = g.PI(d)
 	}
 
-	building := map[string]bool{}
-	var build func(name string) (aig.Lit, error)
-	build = func(name string) (aig.Lit, error) {
+	// build resolves a signal and every gate it depends on, depth first
+	// in argument order, with an explicit stack: an uploaded netlist's
+	// depth costs heap, not goroutine stack. Each frame's resolved
+	// arguments sit on vals from its start; a finished gate pops them,
+	// and its parent picks the gate up from sig.
+	type frame struct {
+		name  string
+		gt    *gate
+		start int
+	}
+	var stack []frame
+	var vals []aig.Lit
+	push := func(name string) error {
+		gt, ok := gates[name]
+		if !ok {
+			return fmt.Errorf("cio: undriven signal %q", name)
+		}
+		if gt.building {
+			return fmt.Errorf("cio: combinational cycle through %q", name)
+		}
+		gt.building = true
+		stack = append(stack, frame{name: name, gt: gt, start: len(vals)})
+		return nil
+	}
+	build := func(name string) (aig.Lit, error) {
 		if l, ok := sig[name]; ok {
 			return l, nil
 		}
-		gt, ok := gates[name]
-		if !ok {
-			return 0, fmt.Errorf("cio: undriven signal %q", name)
+		if err := push(name); err != nil {
+			return 0, err
 		}
-		if building[name] {
-			return 0, fmt.Errorf("cio: combinational cycle through %q", name)
-		}
-		building[name] = true
-		defer delete(building, name)
-		args := make([]aig.Lit, len(gt.args))
-		for i, a := range gt.args {
-			l, err := build(a)
-			if err != nil {
-				return 0, err
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if i := len(vals) - f.start; i < len(f.gt.args) {
+				if l, ok := sig[f.gt.args[i]]; ok {
+					vals = append(vals, l)
+				} else if err := push(f.gt.args[i]); err != nil {
+					return 0, err
+				}
+				continue
 			}
-			args[i] = l
+			args := vals[f.start:]
+			var l aig.Lit
+			switch f.gt.op {
+			case "AND":
+				l = g.AndN(args...)
+			case "NAND":
+				l = g.AndN(args...).Not()
+			case "OR":
+				l = g.OrN(args...)
+			case "NOR":
+				l = g.OrN(args...).Not()
+			case "XOR":
+				l = g.XorN(args...)
+			case "XNOR":
+				l = g.XorN(args...).Not()
+			case "NOT":
+				l = args[0].Not()
+			case "BUFF", "BUF":
+				l = args[0]
+			default:
+				return 0, fmt.Errorf("cio: unsupported gate %q", f.gt.op)
+			}
+			sig[f.name] = l
+			vals = vals[:f.start]
+			stack = stack[:len(stack)-1]
 		}
-		var l aig.Lit
-		switch gt.op {
-		case "AND":
-			l = g.AndN(args...)
-		case "NAND":
-			l = g.AndN(args...).Not()
-		case "OR":
-			l = g.OrN(args...)
-		case "NOR":
-			l = g.OrN(args...).Not()
-		case "XOR":
-			l = g.XorN(args...)
-		case "XNOR":
-			l = g.XorN(args...).Not()
-		case "NOT":
-			l = args[0].Not()
-		case "BUFF", "BUF":
-			l = args[0]
-		default:
-			return 0, fmt.Errorf("cio: unsupported gate %q", gt.op)
-		}
-		sig[name] = l
-		return l, nil
+		return sig[name], nil
 	}
 
 	for _, out := range outputs {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"circuitfold/internal/aig"
 	"circuitfold/internal/seq"
@@ -117,9 +118,10 @@ func ReadBLIF(r io.Reader) (*seq.Circuit, error) {
 	}
 	var latches []latch
 	type table struct {
-		ins   []string
-		out   string
-		cubes []string // "10-" style rows that output 1
+		ins      []string
+		out      string
+		cubes    []string // "10-" style rows that output 1
+		building bool     // on the build stack; once built, out is in sig
 	}
 	var tables []table
 	var cur *table
@@ -215,54 +217,86 @@ func ReadBLIF(r io.Reader) (*seq.Circuit, error) {
 		sig[l.out] = g.PI(l.out)
 	}
 
-	byOut := map[string]table{}
-	for _, t := range tables {
-		byOut[t.out] = t
+	byOut := map[string]*table{}
+	for i := range tables {
+		byOut[tables[i].out] = &tables[i]
 	}
-	var build func(name string) (aig.Lit, error)
-	building := map[string]bool{}
-	build = func(name string) (aig.Lit, error) {
+	// build resolves a signal and every table it depends on, depth
+	// first in cube and column order, with an explicit stack: an
+	// uploaded netlist's depth costs heap, not goroutine stack. A frame
+	// walks its table one cube character at a time, ANDing each input
+	// into the cube's term as soon as that input resolves; finished
+	// cube terms sit on vals from the frame's start.
+	type frame struct {
+		t     *table
+		cube  int     // the cube being built
+		pos   int     // byte offset of its next character
+		term  aig.Lit // its product so far
+		start int
+	}
+	var stack []frame
+	var vals []aig.Lit
+	push := func(name string) error {
+		t, ok := byOut[name]
+		if !ok {
+			return fmt.Errorf("cio: undriven signal %q", name)
+		}
+		if t.building {
+			return fmt.Errorf("cio: combinational cycle through %q", name)
+		}
+		t.building = true
+		stack = append(stack, frame{t: t, term: aig.Const1, start: len(vals)})
+		return nil
+	}
+	build := func(name string) (aig.Lit, error) {
 		if l, ok := sig[name]; ok {
 			return l, nil
 		}
-		t, ok := byOut[name]
-		if !ok {
-			return 0, fmt.Errorf("cio: undriven signal %q", name)
+		if err := push(name); err != nil {
+			return 0, err
 		}
-		if building[name] {
-			return 0, fmt.Errorf("cio: combinational cycle through %q", name)
-		}
-		building[name] = true
-		defer delete(building, name)
-		var cubes []aig.Lit
-		for _, cube := range t.cubes {
-			if len(cube) != len(t.ins) {
-				return 0, fmt.Errorf("cio: cube width mismatch in table %q", name)
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			t := f.t
+			if f.cube == len(t.cubes) {
+				l := g.OrN(vals[f.start:]...)
+				if len(t.ins) == 0 && len(t.cubes) > 0 {
+					l = aig.Const1
+				}
+				sig[t.out] = l
+				vals = vals[:f.start]
+				stack = stack[:len(stack)-1]
+				continue
 			}
-			term := aig.Const1
-			for i, ch := range cube {
-				in, err := build(t.ins[i])
-				if err != nil {
+			cube := t.cubes[f.cube]
+			if len(cube) != len(t.ins) {
+				return 0, fmt.Errorf("cio: cube width mismatch in table %q", t.out)
+			}
+			if f.pos == len(cube) {
+				vals = append(vals, f.term)
+				f.cube, f.pos, f.term = f.cube+1, 0, aig.Const1
+				continue
+			}
+			in, ok := sig[t.ins[f.pos]]
+			if !ok {
+				if err := push(t.ins[f.pos]); err != nil {
 					return 0, err
 				}
-				switch ch {
-				case '1':
-					term = g.And(term, in)
-				case '0':
-					term = g.And(term, in.Not())
-				case '-':
-				default:
-					return 0, fmt.Errorf("cio: bad cube char %q", string(ch))
-				}
+				continue
 			}
-			cubes = append(cubes, term)
+			ch, w := utf8.DecodeRuneInString(cube[f.pos:])
+			switch ch {
+			case '1':
+				f.term = g.And(f.term, in)
+			case '0':
+				f.term = g.And(f.term, in.Not())
+			case '-':
+			default:
+				return 0, fmt.Errorf("cio: bad cube char %q", string(ch))
+			}
+			f.pos += w
 		}
-		l := g.OrN(cubes...)
-		if len(t.ins) == 0 && len(t.cubes) > 0 {
-			l = aig.Const1
-		}
-		sig[name] = l
-		return l, nil
+		return sig[name], nil
 	}
 	for _, out := range outputs {
 		l, err := build(out)

@@ -2,7 +2,10 @@ package cio
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -219,6 +222,47 @@ func TestReadBenchErrors(t *testing.T) {
 	}
 	if _, err := ReadBench(strings.NewReader("OUTPUT(f)\n")); err == nil {
 		t.Fatal("undriven output should fail")
+	}
+}
+
+// TestReadDeepChains reads a 1M-deep inverter chain in both gate-level
+// formats under a 32 MiB stack cap: the readers build with explicit
+// stacks, so an upload's depth costs heap, not goroutine stack.
+func TestReadDeepChains(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
+	const depth = 1 << 20
+	for _, tc := range []struct {
+		name  string
+		read  func(io.Reader) (*seq.Circuit, error)
+		chain func(sb *strings.Builder) // writes y = NOT^depth(n0)
+	}{
+		{"bench", ReadBench, func(sb *strings.Builder) {
+			sb.WriteString("INPUT(n0)\nOUTPUT(y)\n")
+			for i := 1; i <= depth; i++ {
+				fmt.Fprintf(sb, "n%d = NOT(n%d)\n", i, i-1)
+			}
+			fmt.Fprintf(sb, "y = BUFF(n%d)\n", depth)
+		}},
+		{"blif", ReadBLIF, func(sb *strings.Builder) {
+			sb.WriteString(".model chain\n.inputs n0\n.outputs y\n")
+			for i := 1; i <= depth; i++ {
+				fmt.Fprintf(sb, ".names n%d n%d\n0 1\n", i-1, i)
+			}
+			fmt.Fprintf(sb, ".names n%d y\n1 1\n.end\n", depth)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sb strings.Builder
+			tc.chain(&sb)
+			c, err := tc.read(strings.NewReader(sb.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An even number of inversions: the output is the input.
+			if c.G.PO(0) != c.G.PILit(0) {
+				t.Fatalf("output %v, want the input %v", c.G.PO(0), c.G.PILit(0))
+			}
+		})
 	}
 }
 

@@ -495,6 +495,51 @@ func TestJobDeadline(t *testing.T) {
 	})
 }
 
+// TestJobDeadlineSparesIdenticalJob: a job's deadline is its own. Of
+// two identical submissions queued behind a busy worker, the one whose
+// deadline expires in the queue fails, and the one without a deadline
+// still folds to the bytes of a cold fold.
+func TestJobDeadlineSparesIdenticalJob(t *testing.T) {
+	gate := make(chan struct{})
+	r := NewRunnerWith(RunnerOptions{
+		Workers: 1,
+		Store:   &gateStore{Store: NewMemStore(), gate: gate},
+	})
+	defer r.Shutdown(context.Background())
+	busy := smokeSpec()
+	busy.T = 8
+	blocker, err := r.Submit(busy, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, blocker)
+	expiring, err := r.Submit(smokeSpec(), SubmitOptions{Deadline: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patient, err := r.Submit(smokeSpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	close(gate)
+	wait(t, expiring)
+	wait(t, patient)
+	if st := expiring.Status(); st.State != StateFailed || !strings.Contains(st.Error, "deadline exceeded before start") {
+		t.Fatalf("expiring job = %+v, want failed in the queue", st)
+	}
+	if st := patient.Status(); st.State != StateDone {
+		t.Fatalf("job without a deadline = %+v (%s), want done", st, st.Error)
+	}
+
+	cold := NewRunnerWith(RunnerOptions{Workers: 1})
+	defer cold.Shutdown(context.Background())
+	if want, got := encodeJob(t, submitWait(t, cold, smokeSpec())), encodeJob(t, patient); !bytes.Equal(want, got) {
+		t.Error("job without a deadline differs from a cold fold")
+	}
+	wait(t, blocker)
+}
+
 // TestServeDeadlineParam checks the HTTP surface of per-job deadlines:
 // a malformed or non-positive ?deadline= is a 400 before any work is
 // admitted.

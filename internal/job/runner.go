@@ -89,7 +89,7 @@ type Job struct {
 	state     State
 	err       string
 	method    string
-	cacheStat string   // shared-work verdict at submit: "hit", "miss" or "attached"
+	cacheStat string   // result-cache verdict at submit: "hit" or "miss"
 	resumed   []string // stage names restored from checkpoints
 	fromSnap  bool     // whole result served by the worker's read-through lookup
 	created   time.Time
@@ -111,12 +111,12 @@ func (j *Job) Spec() Spec { return j.spec }
 func (j *Job) Key() string { return j.key }
 
 // FoldKey returns the job's shared-work content address (Spec.FoldKey):
-// the key of the runner's result cache and in-flight dedup.
+// the key of the runner's result cache.
 func (j *Job) FoldKey() string { return j.foldKey }
 
-// CacheStatus reports how the shared-work engine classified the job at
-// submit: "hit" (served from the result cache), "attached" (joined an
-// identical in-flight job), or "miss" (folded).
+// CacheStatus reports how the result cache classified the job at
+// submit: "hit" (served from the cache) or "miss" (queued for a worker,
+// which folds unless an identical fold has settled by then).
 func (j *Job) CacheStatus() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -199,9 +199,8 @@ type Status struct {
 	// after this job's submit).
 	Resumed       []string `json:"resumed,omitempty"`
 	ResumedResult bool     `json:"resumed_result,omitempty"`
-	// Cache is the shared-work verdict at submit: "hit" (served from
-	// the result cache), "miss" (folded), or "attached" (joined an
-	// identical in-flight job).
+	// Cache is the result-cache verdict at submit: "hit" (served from
+	// the cache) or "miss" (queued for a worker).
 	Cache string `json:"cache,omitempty"`
 	// Recovered marks a job re-enqueued by journal replay after a
 	// daemon crash; DeadlineAt is the client-supplied completion
@@ -273,10 +272,9 @@ var terminalCounters = map[State]string{
 // mutate under the job lock just before the transition when this call
 // wins it. It reports whether it did: a lost race (the job was already
 // terminal) leaves the job untouched, so concurrent finishers — the
-// fold worker, a user cancel, a dedup delivery — cannot interleave
-// their result fields. The winner counts the state before the
-// transition, so a client woken by it sees the count, and journals it
-// after.
+// fold worker and a user cancel — cannot interleave their result
+// fields. The winner counts the state before the transition, so a
+// client woken by it sees the count, and journals it after.
 func (j *Job) finishWith(state State, errText string, mutate func()) bool {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
@@ -308,9 +306,7 @@ type Runner struct {
 	workers int
 	log     *slog.Logger
 	metrics *obs.Registry // process-level: lifecycle, latency, HTTP
-	fSpans  int           // per-job flight-recorder ring sizes
-	fLogs   int
-	cache   *cache.Cache // shared-work result cache, nil when disabled
+	cache   *cache.Cache  // shared-work result cache, keyed by fold key
 
 	// journal is the durable transition log, or nil. It is an atomic
 	// pointer — not guarded by r.mu — because terminal transitions
@@ -326,7 +322,6 @@ type Runner struct {
 	mu         sync.Mutex
 	jobs       map[string]*Job
 	order      []string
-	inflight   map[string]*flight // fold key -> live dedup group
 	nextID     int
 	closed     bool
 	draining   bool
@@ -335,16 +330,11 @@ type Runner struct {
 	wg sync.WaitGroup
 }
 
-// flight is one in-flight dedup group: the leader is the job actually
-// folding under the fold key; waiters attached after it and observe
-// its terminal state (sharing its bit-identical result on success).
-type flight struct {
-	leader  *Job
-	waiters []*Job
-}
-
 // RunnerOptions configures NewRunnerWith. The zero value is one worker
-// over a fresh MemStore, with default telemetry and cache bounds.
+// over a fresh MemStore with default telemetry. The result cache and
+// each job's flight recorder always take their package defaults
+// (cache.DefaultMaxEntries/DefaultMaxBytes, obs.DefaultFlightSpans/
+// DefaultFlightLogs).
 type RunnerOptions struct {
 	// Workers is the fold worker-pool size (minimum 1).
 	Workers int
@@ -357,15 +347,6 @@ type RunnerOptions struct {
 	// queue/run latency histograms and per-stage timings aggregated
 	// across jobs. Nil allocates a private one.
 	Metrics *obs.Registry
-	// FlightSpans / FlightLogs size each job's flight-recorder rings
-	// (<= 0 selects the obs defaults).
-	FlightSpans int
-	FlightLogs  int
-	// CacheEntries / CacheBytes bound the shared-work result cache
-	// (zero selects the cache defaults). A negative value in either
-	// disables the cache entirely; in-flight dedup stays on.
-	CacheEntries int
-	CacheBytes   int64
 	// QueueDepth bounds the admission queue (jobs accepted but not yet
 	// folding); zero selects the default of 1024. At capacity, Submit
 	// fast-fails with *QueueFullError instead of queueing unboundedly.
@@ -395,28 +376,23 @@ func NewRunnerWith(opts RunnerOptions) *Runner {
 		opts.QueueDepth = 1024
 	}
 	r := &Runner{
-		store:    opts.Store,
-		queue:    make(chan *Job, opts.QueueDepth),
-		workers:  opts.Workers,
-		log:      opts.Logger,
-		metrics:  opts.Metrics,
-		fSpans:   opts.FlightSpans,
-		fLogs:    opts.FlightLogs,
-		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*flight),
+		store:   opts.Store,
+		queue:   make(chan *Job, opts.QueueDepth),
+		workers: opts.Workers,
+		log:     opts.Logger,
+		metrics: opts.Metrics,
+		cache:   cache.New(0, 0),
+		jobs:    make(map[string]*Job),
 	}
 	corrupt := opts.Metrics.Counter(obs.MStoreCorrupt)
 	if fs, ok := opts.Store.(*FileStore); ok {
 		fs.Observe(corrupt)
 	}
-	if opts.CacheEntries >= 0 && opts.CacheBytes >= 0 {
-		r.cache = cache.New(opts.CacheEntries, opts.CacheBytes)
-		r.cache.Observe(
-			opts.Metrics.Gauge(obs.MCacheEntries),
-			opts.Metrics.Gauge(obs.MCacheBytes),
-			opts.Metrics.Counter(obs.MCacheEvictions),
-			corrupt)
-	}
+	r.cache.Observe(
+		opts.Metrics.Gauge(obs.MCacheEntries),
+		opts.Metrics.Gauge(obs.MCacheBytes),
+		opts.Metrics.Counter(obs.MCacheEvictions),
+		corrupt)
 	if opts.Journal != nil {
 		r.journal.Store(opts.Journal)
 		// A journaled runner is born recovering: readiness stays false
@@ -493,9 +469,9 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 	// the lock.
 	key, foldKey := spec.Hash(), spec.FoldKey(g)
 	// The submit path reads the memory tier only, and before r.mu is
-	// taken, so the request does no disk I/O. A leader that settles
-	// between this lookup and the lock makes the submission lead again;
-	// its worker's read-through lookup then serves it.
+	// taken, so the request does no disk I/O. An identical fold that
+	// settles after this lookup is served by the worker's read-through
+	// lookup instead.
 	hitFin, hit := r.lookupFinal(foldKey, nil)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -511,7 +487,7 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 		g:         g,
 		events:    obs.NewBroadcast(eventReplay),
 		metrics:   circuitfold.NewMetrics(),
-		flight:    obs.NewFlightRecorder(r.fSpans, r.fLogs),
+		flight:    obs.NewFlightRecorder(0, 0),
 		profile:   so.Profile,
 		done:      make(chan struct{}),
 		r:         r,
@@ -528,10 +504,8 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 	// display width used everywhere else).
 	j.log = slog.New(obs.TeeHandler(r.log.Handler(), j.flight.LogHandler())).
 		With("job_id", j.id, "key", shortKey(j.key))
-	// Shared-work triage, in order: (1) the result cache serves a
-	// finished identical fold without touching an engine; (2) a live
-	// identical fold absorbs this submission as a waiter; (3) this
-	// submission leads and enqueues.
+	// A finished identical fold in the result cache serves the
+	// submission without touching an engine; anything else enqueues.
 	if hit {
 		r.register(j)
 		// Journal the submission first so the done record of the
@@ -545,18 +519,6 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 		r.deliver(j, hitFin, func() { j.cacheStat = "hit" }, "cache", "hit")
 		return j, nil
 	}
-	if fl, ok := r.inflight[j.foldKey]; ok {
-		j.cacheStat = "attached"
-		fl.waiters = append(fl.waiters, j)
-		r.register(j)
-		// Best effort: losing this record means a crash replays the
-		// waiter as its own submission, which dedups or cache-hits.
-		r.appendJournal(j, OpSubmitted, &spec, "")
-		r.metrics.Counter(obs.MJobDedupAttached).Add(1)
-		j.log.Info("job submitted", "method", j.spec.EffectiveMethod(),
-			"t", j.spec.T, "cache", "attached", "leader", fl.leader.id)
-		return j, nil
-	}
 	// Admission control: at queue capacity, fail fast with a
 	// Retry-After estimate instead of blocking or queueing unboundedly.
 	// The check-then-send below is race-free because every producer
@@ -567,13 +529,12 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 	}
 	j.cacheStat = "miss"
 	// Journal before enqueueing, strictly: once Submit acknowledges a
-	// leader, a crash must be able to replay it. If the record cannot
+	// queued job, a crash must be able to replay it. If the record cannot
 	// be made durable the submission is refused.
 	if err := r.appendJournal(j, OpSubmitted, &spec, ""); err != nil {
 		return nil, fmt.Errorf("job: refusing submission, journal append failed: %w", err)
 	}
 	r.queue <- j
-	r.inflight[j.foldKey] = &flight{leader: j}
 	r.register(j)
 	r.metrics.Counter(obs.MJobCacheMisses).Add(1)
 	r.metrics.Gauge(obs.MJobQueueDepth).Set(int64(len(r.queue)))
@@ -602,7 +563,7 @@ func (r *Runner) retryAfter() time.Duration {
 
 // appendJournal appends one transition record for j; spec is set on
 // submit records only. A failed append is logged and returned, and the
-// caller decides whether it matters: only a leader's submit record
+// caller decides whether it matters: only a queued job's submit record
 // refuses the submission. No-op without a journal. Terminal records are
 // appended from finishWith — with r.mu sometimes held — so this must
 // not touch r.mu.
@@ -667,114 +628,12 @@ func (r *Runner) Cancel(id string) bool {
 	j.mu.Unlock()
 	if queued {
 		j.finish(StateCanceled, "canceled before start")
-		// A canceled leader hands its waiters to a promoted successor.
-		r.settleFlight(j)
 		return true
 	}
 	if cancel != nil {
 		cancel()
 	}
 	return true
-}
-
-// settleFlight resolves the dedup group led by a job that ended
-// without a result. No-op unless the job actually leads a live flight,
-// so it is safe to call on every terminal transition.
-func (r *Runner) settleFlight(leader *Job) {
-	r.settleWaiters(leader, r.detachFlight(leader), nil)
-}
-
-// detachFlight takes leader's dedup group out of r.inflight and returns
-// the waiters attached to it; nil unless leader leads a live flight.
-// A worker detaches before the leader's terminal transition, so a
-// resubmission made the moment a client sees the leader finish folds
-// or hits the cache instead of attaching to a finished leader.
-func (r *Runner) detachFlight(leader *Job) []*Job {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fl := r.inflight[leader.foldKey]
-	if fl == nil || fl.leader != leader {
-		return nil
-	}
-	delete(r.inflight, leader.foldKey)
-	return fl.waiters
-}
-
-// settleWaiters resolves the waiters detached from a terminal leader.
-// When the leader is done, fin is its finished fold: every waiter gets
-// the same read-only bytes, and Result decodes a private copy per call.
-// Failed waiters inherit the leader's failure, and a canceled leader
-// promotes the first still-live waiter so attached work survives user
-// cancellation.
-func (r *Runner) settleWaiters(leader *Job, waiters []*Job, fin *final) {
-	if len(waiters) == 0 {
-		return
-	}
-	leader.mu.Lock()
-	state, errText := leader.state, leader.err
-	leader.mu.Unlock()
-	switch state {
-	case StateDone:
-		for _, w := range waiters {
-			r.deliver(w, fin, nil, "cache", "attached", "leader", leader.id)
-		}
-	case StateFailed:
-		for _, w := range waiters {
-			if w.finish(StateFailed, errText) {
-				w.log.Error("job failed", "err", errText, "cache", "attached", "leader", leader.id)
-			}
-		}
-	case StateCanceled:
-		r.promote(leader, waiters)
-	}
-}
-
-// promote re-enqueues the first still-live waiter as the new leader of
-// its fold key after the old leader ended without a shareable result;
-// remaining live waiters re-attach to it. When no promotion is possible
-// — runner draining, queue full, no live waiter — the waiters cancel
-// with the leader.
-func (r *Runner) promote(leader *Job, waiters []*Job) {
-	var live []*Job
-	for _, w := range waiters {
-		w.mu.Lock()
-		if w.state == StateQueued {
-			live = append(live, w)
-		}
-		w.mu.Unlock()
-	}
-	if len(live) == 0 {
-		return
-	}
-	r.mu.Lock()
-	if fl, ok := r.inflight[leader.foldKey]; ok {
-		// A resubmission already leads the key again: join it.
-		fl.waiters = append(fl.waiters, live...)
-		r.mu.Unlock()
-		return
-	}
-	if !r.closed && !r.draining {
-		head := live[0]
-		select {
-		case r.queue <- head:
-			head.mu.Lock()
-			head.cacheStat = "miss" // it folds for real now
-			head.mu.Unlock()
-			r.inflight[head.foldKey] = &flight{leader: head, waiters: live[1:]}
-			r.metrics.Gauge(obs.MJobQueueDepth).Set(int64(len(r.queue)))
-			r.mu.Unlock()
-			head.log.Info("job promoted to dedup leader", "was_leader", leader.id)
-			return
-		default:
-			// Queue full: fall through and cancel the group.
-		}
-	}
-	r.mu.Unlock()
-	for _, w := range live {
-		if w.finish(StateCanceled, "canceled: in-flight leader canceled") {
-			w.log.Info("job canceled", "cache", "attached", "leader", leader.id)
-		}
-	}
 }
 
 // Shutdown drains the runner: no new submissions, queued jobs are
@@ -909,8 +768,8 @@ func (r *Runner) worker() {
 
 // runJob takes one dequeued job through start, fold and settle. A
 // finished identical fold, in the cache or the store, is served
-// instead of folding again: this closes the window in which a leader
-// settles between a submission's triage and its enqueue.
+// instead of folding again: a duplicate queued behind an identical
+// fold gets that fold's bytes once it settles.
 func (r *Runner) runJob(j *Job) {
 	run := r.start(j)
 	if run == nil {
@@ -918,7 +777,7 @@ func (r *Runner) runJob(j *Job) {
 	}
 	defer r.stop(run)
 	if fin, ok := r.lookupFinal(j.foldKey, run.ck); ok {
-		r.terminate(j, run, fin, func() {
+		r.terminate(j, run, func() {
 			r.deliver(j, fin, func() { j.fromSnap = true }, "resumed_result", true)
 		})
 		return
@@ -952,18 +811,17 @@ func (r *Runner) start(j *Job) *jobRun {
 	switch {
 	case j.state != StateQueued: // canceled while queued
 		j.mu.Unlock()
-		r.settleFlight(j)
 		return nil
 	case draining:
 		j.mu.Unlock()
-		r.terminate(j, nil, nil, func() { j.finish(StateCanceled, "canceled: daemon shutting down") })
+		j.finish(StateCanceled, "canceled: daemon shutting down")
 		return nil
 	case !deadline.IsZero() && !time.Now().Before(deadline):
 		// Expired while queued: fail without burning a fold.
 		j.mu.Unlock()
 		// Count before the transition: a client woken by it sees the count.
 		r.metrics.Counter(obs.MJobDeadline).Add(1)
-		r.terminate(j, nil, nil, func() { j.finish(StateFailed, "deadline exceeded before start") })
+		j.finish(StateFailed, "deadline exceeded before start")
 		j.log.Warn("job missed deadline in queue")
 		return nil
 	}
@@ -1053,10 +911,10 @@ func fold(j *Job, run *jobRun) (method string, res *circuitfold.Result, err erro
 	return method, res, err
 }
 
-// settle ends a folded job. It is the only code that persists, caches
-// or shares a fold's result: a failure is classified and dumped; a
+// settle ends a folded job. It is the only code that persists or
+// caches a fold's result: a failure is classified and dumped; a
 // success is encoded once, and those bytes are saved as the final
-// snapshot, put in the cache and delivered to the waiters.
+// snapshot and put in the cache.
 func (r *Runner) settle(j *Job, run *jobRun, method string, res *circuitfold.Result, err error) {
 	runDur := time.Since(j.started) // written only by this worker
 	r.metrics.Timing(obs.MJobRunSeconds).Observe(runDur)
@@ -1086,7 +944,7 @@ func (r *Runner) settle(j *Job, run *jobRun, method string, res *circuitfold.Res
 		if reason != "" {
 			r.dumpFlight(j, run.ck, reason, state, "", msg)
 		}
-		r.terminate(j, run, nil, func() { j.finish(state, msg) })
+		r.terminate(j, run, func() { j.finish(state, msg) })
 		return
 	}
 
@@ -1105,15 +963,12 @@ func (r *Runner) settle(j *Job, run *jobRun, method string, res *circuitfold.Res
 	}
 	data, fin, err := encodeFinal(method, res)
 	if err != nil {
-		// The fold has no bytes to keep or share: the job fails, nothing
-		// is saved or cached, and its waiters fold for themselves.
+		// The fold has no bytes to keep: the job fails, and nothing is
+		// saved or cached.
 		msg := "result not encodable: " + err.Error()
 		j.log.Error("job failed", "err", msg, "method", method, "run_seconds", runDur.Seconds())
 		r.dumpFlight(j, run.ck, "failed", StateFailed, "", msg)
-		r.captureProfile(j, run)
-		waiters := r.detachFlight(j)
-		j.finish(StateFailed, msg)
-		r.promote(j, waiters)
+		r.terminate(j, run, func() { j.finish(StateFailed, msg) })
 		return
 	}
 	_ = run.ck.Save(finalStage, data) // best effort: resume is an optimization
@@ -1126,26 +981,18 @@ func (r *Runner) settle(j *Job, run *jobRun, method string, res *circuitfold.Res
 	} else if j.metrics.Counter(obs.MFoldFallbacks).Value() > 0 {
 		r.dumpFlight(j, run.ck, "degraded", StateDone, method, "")
 	}
-	r.terminate(j, run, fin, func() {
+	r.terminate(j, run, func() {
 		r.deliver(j, fin, func() { j.resumed = resumed }, "run_seconds", runDur.Seconds(),
 			"states", res.States, "gates", res.Gates())
 	})
 }
 
-// terminate is every worker-side terminal transition. The requested
-// profile is captured and the dedup group detached first, so a client
-// woken by the transition can fetch the profile, and a resubmission
-// made at that moment folds or hits the cache instead of attaching to a
-// finished leader. Then transition runs, and the waiters settle on
-// fin, the finished fold when the job is done. run is nil for a job
-// that ended in start.
-func (r *Runner) terminate(j *Job, run *jobRun, fin *final, transition func()) {
-	if run != nil {
-		r.captureProfile(j, run)
-	}
-	waiters := r.detachFlight(j)
+// terminate is the terminal transition of a started job. The requested
+// profile is captured first, so a client woken by the transition can
+// fetch it.
+func (r *Runner) terminate(j *Job, run *jobRun, transition func()) {
+	r.captureProfile(j, run)
 	transition()
-	r.settleWaiters(j, waiters, fin)
 }
 
 // captureProfile ends the job's requested profile and attaches it: the
@@ -1212,8 +1059,8 @@ func (r *Runner) lookupFinal(foldKey string, ck pipeline.Checkpoint) (*final, bo
 }
 
 // deliver moves j to done with fin. It is the only way a job becomes
-// done: the submit-time cache hit, the worker's read-through hit, the
-// worker's own fold and every dedup waiter come through here.
+// done: the submit-time cache hit, the worker's read-through hit and
+// the worker's own fold come through here.
 // provenance, when set, runs under the job lock to record how the job
 // came by its result; attrs extend the "job done" log line.
 func (r *Runner) deliver(j *Job, fin *final, provenance func(), attrs ...any) {

@@ -116,11 +116,12 @@ func TestRunnerRunsJob(t *testing.T) {
 }
 
 func TestRunnerFinalSnapshotResume(t *testing.T) {
-	// The result cache is disabled so the resubmission exercises the
-	// checkpoint-store resume path (the cache would otherwise serve it
-	// at submit; TestRunnerCacheHit covers that).
-	r := NewRunnerWith(RunnerOptions{Workers: 1, CacheEntries: -1})
-	defer r.Shutdown(context.Background())
+	// The resubmission goes to a fresh runner over the same store, as
+	// after a daemon restart, so it exercises the checkpoint-store
+	// resume path (the first runner's cache would serve it at submit;
+	// TestRunnerCacheHit covers that).
+	store := NewMemStore()
+	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: store})
 	j1, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,10 @@ func TestRunnerFinalSnapshotResume(t *testing.T) {
 	if st := j1.Status(); st.State != StateDone || st.ResumedResult {
 		t.Fatalf("first run status = %+v", st)
 	}
+	r.Shutdown(context.Background())
 	// The identical spec is served from its final snapshot.
+	r = NewRunnerWith(RunnerOptions{Workers: 1, Store: store})
+	defer r.Shutdown(context.Background())
 	j2, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)

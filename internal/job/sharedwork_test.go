@@ -141,160 +141,65 @@ func TestRunnerCacheHit(t *testing.T) {
 	}
 }
 
-// TestRunnerDedupConcurrentIdentical is the shared-work race gate:
-// identical specs submitted concurrently collapse onto one fold, and
-// every submission observes the same bytes.
-func TestRunnerDedupConcurrentIdentical(t *testing.T) {
+// TestRunnerConcurrentIdentical is the shared-work race gate:
+// identical specs submitted concurrently, on several workers over one
+// FileStore, all finish with the same fold. (Concurrent folds of one
+// key agree byte for byte except for their reports' stage timings;
+// encodeJob strips the report.) The first half queues
+// behind a gate, so several workers fold the same key at once and save
+// the same final snapshot and cache entry; the second half races those
+// folds' settling, so each is a submit-time hit or a queued miss.
+func TestRunnerConcurrentIdentical(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	gate := make(chan struct{})
-	r := NewRunnerWith(RunnerOptions{
-		Workers: 4,
-		Store:   &gateStore{Store: NewMemStore(), gate: gate},
-	})
+	r := NewRunnerWith(RunnerOptions{Workers: 4, Store: &gateStore{Store: fs, gate: gate}})
 	defer r.Shutdown(context.Background())
 
-	const n = 6
+	const n = 8
 	jobs := make([]*Job, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	submit := func(i int) {
+		defer wg.Done()
+		jobs[i], errs[i] = r.Submit(smokeSpec(), SubmitOptions{})
+	}
+	for i := 0; i < n/2; i++ {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			jobs[i], errs[i] = r.Submit(smokeSpec(), SubmitOptions{})
-		}(i)
+		go submit(i)
 	}
 	wg.Wait()
+	for i := n / 2; i < n; i++ {
+		wg.Add(1)
+		go submit(i)
+	}
 	close(gate)
-	for i := 0; i < n; i++ {
+	wg.Wait()
+
+	var want []byte
+	for i, j := range jobs {
 		if errs[i] != nil {
 			t.Fatalf("submit %d: %v", i, errs[i])
 		}
-		wait(t, jobs[i])
-	}
-
-	misses, attached := 0, 0
-	for _, j := range jobs {
+		wait(t, j)
 		st := j.Status()
-		if st.State != StateDone {
-			t.Fatalf("%s: %+v", j.ID(), st)
+		if st.State != StateDone || (st.Cache != "hit" && st.Cache != "miss") {
+			t.Fatalf("%s: status = %+v, want done with cache hit or miss", j.ID(), st)
 		}
-		switch st.Cache {
-		case "miss":
-			misses++
-		case "attached":
-			attached++
-		default:
-			t.Errorf("%s: unexpected cache status %q", j.ID(), st.Cache)
+		if i < n/2 && st.Cache != "miss" {
+			t.Errorf("%s: submitted before any fold settled, but cache = %q", j.ID(), st.Cache)
 		}
-	}
-	if misses != 1 || attached != n-1 {
-		t.Errorf("misses/attached = %d/%d, want 1/%d", misses, attached, n-1)
-	}
-	want := encodeJob(t, jobs[0])
-	for _, j := range jobs[1:] {
-		if !bytes.Equal(want, encodeJob(t, j)) {
-			t.Errorf("%s: attached result diverges from the leader's", j.ID())
+		if data := encodeJob(t, j); want == nil {
+			want = data
+		} else if !bytes.Equal(want, data) {
+			t.Errorf("%s: result differs from %s's", j.ID(), jobs[0].ID())
 		}
 	}
-	if got := r.Metrics().Counter(obs.MJobDedupAttached).Value(); got != n-1 {
-		t.Errorf("dedup_attached = %d, want %d", got, n-1)
-	}
-}
-
-// TestRunnerDedupWaiterCancel: cancelling an attached waiter leaves
-// the leader folding; the waiter stays canceled when the result lands.
-func TestRunnerDedupWaiterCancel(t *testing.T) {
-	gate := make(chan struct{})
-	r := NewRunnerWith(RunnerOptions{
-		Workers: 1,
-		Store:   &gateStore{Store: NewMemStore(), gate: gate},
-	})
-	defer r.Shutdown(context.Background())
-
-	leader, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, leader)
-	waiter, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waiter.Status(); st.Cache != "attached" {
-		t.Fatalf("waiter status = %+v", st)
-	}
-	if !r.Cancel(waiter.ID()) {
-		t.Fatal("cancel returned false")
-	}
-	wait(t, waiter)
-	if st := waiter.Status(); st.State != StateCanceled {
-		t.Fatalf("canceled waiter status = %+v", st)
-	}
-	close(gate)
-	wait(t, leader)
-	if st := leader.Status(); st.State != StateDone {
-		t.Fatalf("leader status = %+v (%s)", st, st.Error)
-	}
-	if st := waiter.Status(); st.State != StateCanceled {
-		t.Errorf("waiter resurrected by the leader's result: %+v", st)
-	}
-	// The flight resolved: the next identical submission is a cache hit.
-	again, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait(t, again)
-	if st := again.Status(); st.Cache != "hit" {
-		t.Errorf("post-flight submission = %+v, want cache hit", st)
-	}
-}
-
-// TestRunnerDedupLeaderCancelPromotes: cancelling the leader promotes
-// the first live waiter, which folds for real; later waiters re-attach
-// and share its result.
-func TestRunnerDedupLeaderCancelPromotes(t *testing.T) {
-	gate := make(chan struct{})
-	r := NewRunnerWith(RunnerOptions{
-		Workers: 1,
-		Store:   &gateStore{Store: NewMemStore(), gate: gate},
-	})
-	defer r.Shutdown(context.Background())
-
-	leader, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, leader)
-	w1, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Cancel(leader.ID()) {
-		t.Fatal("cancel returned false")
-	}
-	close(gate)
-	wait(t, leader)
-	if st := leader.Status(); st.State != StateCanceled {
-		t.Fatalf("leader status = %+v", st)
-	}
-	wait(t, w1)
-	wait(t, w2)
-	st1, st2 := w1.Status(), w2.Status()
-	if st1.State != StateDone || st2.State != StateDone {
-		t.Fatalf("waiter states = %s/%s (%s/%s)", st1.State, st2.State, st1.Error, st2.Error)
-	}
-	if st1.Cache != "miss" {
-		t.Errorf("promoted waiter cache = %q, want miss", st1.Cache)
-	}
-	if st2.Cache != "attached" {
-		t.Errorf("re-attached waiter cache = %q, want attached", st2.Cache)
-	}
-	if !bytes.Equal(encodeJob(t, w1), encodeJob(t, w2)) {
-		t.Error("re-attached waiter's result diverges from the promoted leader's")
+	m := r.Metrics()
+	if hits, misses := m.Counter(obs.MJobCacheHits).Value(), m.Counter(obs.MJobCacheMisses).Value(); hits+misses != n {
+		t.Errorf("cache_hits + cache_misses = %d + %d, want %d", hits, misses, n)
 	}
 }
 
@@ -334,31 +239,6 @@ func TestRunnerMatchesDirectFold(t *testing.T) {
 	}
 }
 
-// TestRunnerCacheDisabled: negative cache bounds turn the cache off,
-// so identical resubmission falls back to the checkpoint store (and
-// dedup still collapses concurrent ones).
-func TestRunnerCacheDisabled(t *testing.T) {
-	r := NewRunnerWith(RunnerOptions{Workers: 1, CacheEntries: -1})
-	defer r.Shutdown(context.Background())
-	j1, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait(t, j1)
-	j2, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait(t, j2)
-	st := j2.Status()
-	if st.Cache != "miss" || !st.ResumedResult {
-		t.Fatalf("cache-disabled resubmission = %+v, want miss + snapshot resume", st)
-	}
-	if hits := r.Metrics().Counter(obs.MJobCacheHits).Value(); hits != 0 {
-		t.Errorf("cache_hits = %d with cache disabled", hits)
-	}
-}
-
 // TestRunnerStatusJSONCache pins the wire shape of the cache verdict.
 func TestRunnerStatusJSONCache(t *testing.T) {
 	r := NewRunnerWith(RunnerOptions{Workers: 1})
@@ -374,49 +254,66 @@ func TestRunnerStatusJSONCache(t *testing.T) {
 	}
 }
 
-// TestRunnerDedupPromoteCanceledWaiterNoLeak races client cancellation
-// of a waiter against cancellation of its dedup leader: promotion must
-// skip (or terminally settle) the already-canceled waiter, the
-// surviving waiter must still fold to done, every job must reach a
-// terminal state, and no goroutine may be left behind — the leak mode
-// being a promoted job whose context was canceled before it ever ran.
-func TestRunnerDedupPromoteCanceledWaiterNoLeak(t *testing.T) {
+// TestRunnerCancelRaceNoLeak races client cancellation of queued
+// identical jobs against cancellation of the running one (every other
+// iteration leaves it running): every job must end terminal, the
+// survivors must end done with identical bytes, and no goroutine may be
+// left behind.
+func TestRunnerCancelRaceNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		gate := make(chan struct{})
 		r := NewRunnerWith(RunnerOptions{
 			Workers: 1,
 			Store:   &gateStore{Store: NewMemStore(), gate: gate},
 		})
-		leader, err := r.Submit(smokeSpec(), SubmitOptions{})
+		running, err := r.Submit(smokeSpec(), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitRunning(t, leader)
-		w1, err := r.Submit(smokeSpec(), SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
+		waitRunning(t, running)
+		queued := make([]*Job, 3)
+		for k := range queued {
+			if queued[k], err = r.Submit(smokeSpec(), SubmitOptions{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		w2, err := r.Submit(smokeSpec(), SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Race the two cancellations: depending on interleaving the
-		// promotion sees w1 already terminal, or enqueues it canceled.
+		cancelRunning := i%2 == 0
 		var cg sync.WaitGroup
 		cg.Add(2)
-		go func() { defer cg.Done(); r.Cancel(w1.ID()) }()
-		go func() { defer cg.Done(); r.Cancel(leader.ID()) }()
+		go func() { defer cg.Done(); r.Cancel(queued[0].ID()) }()
+		go func() {
+			defer cg.Done()
+			if cancelRunning {
+				r.Cancel(running.ID())
+			}
+		}()
 		cg.Wait()
 		close(gate)
-		wait(t, leader)
-		wait(t, w1)
-		wait(t, w2)
-		if st := w1.Status(); st.State != StateCanceled {
-			t.Errorf("iteration %d: canceled waiter = %+v", i, st)
+		survivors := queued[1:]
+		if !cancelRunning {
+			survivors = append(survivors, running)
 		}
-		if st := w2.Status(); st.State != StateDone {
-			t.Errorf("iteration %d: surviving waiter = %+v (%s)", i, st, st.Error)
+		for _, j := range append([]*Job{running}, queued...) {
+			wait(t, j)
+		}
+		if st := queued[0].Status(); st.State != StateCanceled {
+			t.Errorf("iteration %d: canceled queued job = %+v", i, st)
+		}
+		if st := running.Status(); cancelRunning && st.State != StateCanceled {
+			t.Errorf("iteration %d: canceled running job = %+v", i, st)
+		}
+		var want []byte
+		for _, j := range survivors {
+			st := j.Status()
+			if st.State != StateDone {
+				t.Fatalf("iteration %d: survivor %s = %+v (%s)", i, j.ID(), st, st.Error)
+			}
+			if data := encodeJob(t, j); want == nil {
+				want = data
+			} else if !bytes.Equal(want, data) {
+				t.Errorf("iteration %d: survivor %s's result differs", i, j.ID())
+			}
 		}
 		if err := r.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
@@ -430,50 +327,9 @@ func TestRunnerDedupPromoteCanceledWaiterNoLeak(t *testing.T) {
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("goroutines: %d before, %d after promote-cancel races", before, runtime.NumGoroutine())
+			t.Fatalf("goroutines: %d before, %d after cancel races", before, runtime.NumGoroutine())
 		case <-time.After(20 * time.Millisecond):
 		}
-	}
-}
-
-// TestRunnerPromoteJoinsNewLeader covers the window between a canceled
-// leader's detach and the promotion of its waiters: a resubmission that
-// already leads the fold key again takes those waiters, instead of
-// being displaced by a second fold of the same key.
-func TestRunnerPromoteJoinsNewLeader(t *testing.T) {
-	gate := make(chan struct{}) // each send lets one job reach its store
-	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: &gateStore{Store: NewMemStore(), gate: gate}})
-	defer r.Shutdown(context.Background())
-	defer close(gate)
-	leader, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitRunning(t, leader)
-	w, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waiters := r.detachFlight(leader) // what the worker does before a terminal transition
-	next, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := next.Status(); st.Cache != "miss" {
-		t.Fatalf("resubmission after detach = %+v, want a new leader", st)
-	}
-	r.Cancel(leader.ID())
-	gate <- struct{}{}
-	wait(t, leader)
-	r.settleWaiters(leader, waiters, nil)
-	if st := w.Status(); st.Cache != "attached" || st.State != StateQueued {
-		t.Fatalf("waiter of the canceled leader = %+v, want attached to the new leader", st)
-	}
-	gate <- struct{}{}
-	wait(t, next)
-	wait(t, w)
-	if st := w.Status(); st.State != StateDone {
-		t.Fatalf("waiter = %+v (%s), want done", st, st.Error)
 	}
 }
 
@@ -516,9 +372,9 @@ func getResult(t *testing.T, j *Job) []byte {
 }
 
 // TestServePathIdentity is the result path's identity gate. Each spec
-// is served along every path a finished fold takes: cold, memory hit,
-// store hit with the cache off, attached waiter, promoted waiter, and a
-// fresh runner over the same FileStore. Every path must report its
+// is served along every path a finished fold takes: cold, memory hit
+// at submit, a store hit on a fresh runner over the same FileStore,
+// and a job queued behind an identical fold. Every path must report its
 // provenance, return the bytes of the cold fold of the same fold key,
 // serve GET /result as core.EncodeResult of its decoded Result (what a
 // runner that re-encoded per request served), report the Result's
@@ -599,48 +455,32 @@ func TestServePathIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			r2 := NewRunnerWith(RunnerOptions{Workers: 1, Store: fs2})
-			check(t, path{"fresh runner", "miss", true}, submitWait(t, r2, spec))
+			check(t, path{"store hit, fresh runner", "miss", true}, submitWait(t, r2, spec))
 			r2.Shutdown(context.Background())
 
-			// Cache off: an identical resubmission reaches the worker,
-			// which serves the store's snapshot.
-			off := NewRunnerWith(RunnerOptions{Workers: 1, CacheEntries: -1})
-			check(t, path{"cold, cache off", "miss", false}, submitWait(t, off, spec))
-			check(t, path{"store hit", "miss", true}, submitWait(t, off, spec))
-			if hits := off.Metrics().Counter(obs.MJobCacheHits).Value(); hits != 0 {
-				t.Errorf("cache_hits = %d with cache disabled", hits)
-			}
-			off.Shutdown(context.Background())
-
-			// Waiters: the leader is canceled while it waits on the
-			// store, the first waiter is promoted and folds, and the
-			// second receives the promoted leader's bytes.
+			// Queued behind an identical fold: on one worker the second
+			// job waits while the first folds, then its worker serves
+			// the first fold's bytes from the memory tier.
 			gate := make(chan struct{})
 			gr := NewRunnerWith(RunnerOptions{Workers: 1, Store: &gateStore{Store: NewMemStore(), gate: gate}})
 			defer gr.Shutdown(context.Background())
-			leader, err := gr.Submit(spec, SubmitOptions{})
+			first, err := gr.Submit(spec, SubmitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			waitRunning(t, leader)
-			w1, err := gr.Submit(spec, SubmitOptions{})
+			waitRunning(t, first)
+			queued, err := gr.Submit(spec, SubmitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			w2, err := gr.Submit(spec, SubmitOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gr.Cancel(leader.ID())
 			close(gate)
-			wait(t, leader)
-			if st := leader.Status(); st.State != StateCanceled {
-				t.Fatalf("canceled leader = %+v", st)
+			wait(t, first)
+			wait(t, queued)
+			check(t, path{"cold, gated", "miss", false}, first)
+			check(t, path{"queued behind an identical fold", "miss", true}, queued)
+			if hits := gr.cache.Stats().Hits; hits != 1 {
+				t.Errorf("memory-tier hits = %d, want 1 (the queued job's read-through)", hits)
 			}
-			wait(t, w1)
-			wait(t, w2)
-			check(t, path{"promoted waiter", "miss", false}, w1)
-			check(t, path{"attached waiter", "attached", false}, w2)
 		})
 	}
 }
@@ -722,34 +562,28 @@ func TestStoreSnapshotValidation(t *testing.T) {
 }
 
 // TestRunnerUnencodableResult: a fold whose result cannot be encoded
-// fails its job with a clear error, is neither saved nor cached, and
-// its waiters are promoted to fold for themselves.
+// fails its job with a clear error and is neither saved nor cached, so
+// an identical submission after the failure folds for itself.
 func TestRunnerUnencodableResult(t *testing.T) {
 	gate := make(chan struct{})
 	store := NewMemStore()
 	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: &gateStore{Store: store, gate: gate}})
 	defer r.Shutdown(context.Background())
-	leader, err := r.Submit(smokeSpec(), SubmitOptions{})
+	failed, err := r.Submit(smokeSpec(), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, leader) // its worker now waits at the gate
-	w1, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := r.Submit(smokeSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	waitRunning(t, failed) // its worker now waits at the gate
 
-	// Settle the leader as its worker would, with a result that has no
-	// circuit to encode.
-	ck := store.Checkpoint(leader.Key())
-	r.settle(leader, &jobRun{ck: ck}, MethodFunctional, &circuitfold.Result{T: smokeSpec().T}, nil)
-	st := leader.Status()
+	// Settle the job as its worker would, with a result that has no
+	// circuit to encode, then cancel the real fold its worker is about
+	// to start, so nothing but the next job can produce a result.
+	ck := store.Checkpoint(failed.Key())
+	r.settle(failed, &jobRun{ck: ck}, MethodFunctional, &circuitfold.Result{T: smokeSpec().T}, nil)
+	r.Cancel(failed.ID())
+	st := failed.Status()
 	if st.State != StateFailed || !strings.HasPrefix(st.Error, "result not encodable") {
-		t.Fatalf("leader = %+v, want failed: result not encodable", st)
+		t.Fatalf("job = %+v, want failed: result not encodable", st)
 	}
 	if _, ok := ck.Load(finalStage); ok {
 		t.Error("unencodable result saved a final snapshot")
@@ -757,26 +591,18 @@ func TestRunnerUnencodableResult(t *testing.T) {
 	if n := r.cache.Len(); n != 0 {
 		t.Errorf("unencodable result cached (%d entries)", n)
 	}
-	if st := w1.Status(); st.State != StateQueued || st.Cache != "miss" {
-		t.Errorf("first waiter = %+v, want promoted", st)
-	}
-	if st := w2.Status(); st.State != StateQueued || st.Cache != "attached" {
-		t.Errorf("second waiter = %+v, want attached to the promoted one", st)
-	}
 
+	again, err := r.Submit(smokeSpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	close(gate)
-	wait(t, w1)
-	wait(t, w2)
-	for _, w := range []*Job{w1, w2} {
-		if st := w.Status(); st.State != StateDone {
-			t.Fatalf("%s = %+v (%s), want done", w.ID(), st, st.Error)
-		}
+	wait(t, again)
+	if st := again.Status(); st.State != StateDone || st.Cache != "miss" || st.ResumedResult {
+		t.Fatalf("identical submission after the failure = %+v (%s), want a fold of its own", st, st.Error)
 	}
-	if !bytes.Equal(encodeJob(t, w1), encodeJob(t, w2)) {
-		t.Error("promoted waiters' results differ")
-	}
-	if st := leader.Status(); st.State != StateFailed {
-		t.Errorf("leader left failed state: %+v", st)
+	if st := failed.Status(); st.State != StateFailed {
+		t.Errorf("failed job left its state: %+v", st)
 	}
 }
 

@@ -197,7 +197,7 @@ func (s *Spec) Hash() string {
 const foldKeyVersion = 2
 
 // FoldKey is the job's shared-work content address, the key of the
-// runner's result cache and in-flight dedup. Unlike Hash, which
+// runner's result cache. Unlike Hash, which
 // fingerprints the spec's wire form, FoldKey hashes the built circuit
 // (aig.StructuralHash over the strashed AIG) together with every knob
 // that can change the fold's outcome — so an inline netlist and a

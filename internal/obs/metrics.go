@@ -45,13 +45,12 @@ const (
 	MJobFailed     = "job.failed"      // counter: jobs finished in error
 	MJobCanceled   = "job.canceled"    // counter: jobs canceled (client or drain)
 
-	// Shared-work engine (result cache, in-flight dedup).
-	MJobCacheHits     = "job.cache_hits"     // counter: submissions served from the result cache
-	MJobCacheMisses   = "job.cache_misses"   // counter: submissions that had to fold
-	MJobDedupAttached = "job.dedup_attached" // counter: submissions attached to an identical in-flight job
-	MCacheEntries     = "cache.entries"      // gauge: result-cache entries resident
-	MCacheBytes       = "cache.bytes"        // gauge: result-cache bytes resident
-	MCacheEvictions   = "cache.evictions"    // counter: result-cache entries evicted (LRU or size cap)
+	// Shared-work engine (the result cache).
+	MJobCacheHits   = "job.cache_hits"   // counter: submissions served from the result cache
+	MJobCacheMisses = "job.cache_misses" // counter: submissions queued for a worker
+	MCacheEntries   = "cache.entries"    // gauge: result-cache entries resident
+	MCacheBytes     = "cache.bytes"      // gauge: result-cache bytes resident
+	MCacheEvictions = "cache.evictions"  // counter: result-cache entries evicted (LRU or size cap)
 
 	MHTTPRequests = "http.requests"        // counter: API requests served
 	MHTTPSeconds  = "http.request_seconds" // timing: API request latency
