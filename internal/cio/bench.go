@@ -1,7 +1,6 @@
 package cio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -14,8 +13,7 @@ import (
 // assignments y = GATE(a, b, ...) with gates AND, OR, NAND, NOR, XOR,
 // XNOR, NOT, BUFF/BUF, and DFF (a flip-flop with initial value 0).
 func ReadBench(r io.Reader) (*seq.Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc := lineScanner(r)
 
 	var inputs, outputs []string
 	type gate struct {

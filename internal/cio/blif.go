@@ -108,8 +108,7 @@ func b2i(b bool) int {
 // .names tables may have multiple cubes and '-' don't-cares; latches use
 // the 3-or-5 token form.
 func ReadBLIF(r io.Reader) (*seq.Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc := lineScanner(r)
 
 	var inputs, outputs []string
 	type latch struct {

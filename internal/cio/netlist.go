@@ -1,6 +1,7 @@
 package cio
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 
@@ -32,4 +33,17 @@ func ReadNetlist(format string, r io.Reader) (*seq.Circuit, error) {
 		return ReadBench(r)
 	}
 	return nil, fmt.Errorf("cio: unknown netlist format %q (want one of %v)", format, Formats())
+}
+
+// maxLine bounds one netlist line: a longer line is an error, not an
+// unbounded buffer.
+const maxLine = 64 << 20
+
+// lineScanner returns the line scanner the netlist readers share. Its
+// buffer starts at bufio's default size and grows on demand up to
+// maxLine, so a small netlist costs a small buffer.
+func lineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLine)
+	return sc
 }

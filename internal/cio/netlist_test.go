@@ -3,6 +3,7 @@ package cio
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -45,5 +46,38 @@ func TestReadNetlistRejectsUnknownFormat(t *testing.T) {
 		if _, err := ReadNetlist(format, strings.NewReader("")); err == nil {
 			t.Errorf("format %q accepted", format)
 		}
+	}
+}
+
+// TestReadNetlistSmallAllocs pins the readers' buffer: the line scanner
+// grows on demand, so a 4-line netlist — a typical small upload, parsed
+// on every submit — allocates a few KB, not a preallocated 1 MiB.
+func TestReadNetlistSmallAllocs(t *testing.T) {
+	const text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadNetlist(FormatBench, strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perParse := (after.TotalAlloc - before.TotalAlloc) / runs; perParse >= 16<<10 {
+		t.Errorf("a 4-line bench parse allocates %d B, want well under 64 KB", perParse)
+	}
+}
+
+// TestReadNetlistLongLine reads a line longer than 1 MiB: the scanner
+// buffer grows past it, up to the 64 MiB line cap.
+func TestReadNetlistLongLine(t *testing.T) {
+	name := strings.Repeat("n", 3<<20)
+	text := "INPUT(" + name + ")\nOUTPUT(y)\ny = NOT(" + name + ")\n"
+	c, err := ReadNetlist(FormatBench, strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumInputs != 1 || c.NumOutputs() != 1 {
+		t.Fatalf("long-line netlist: %d in %d out, want 1 and 1", c.NumInputs, c.NumOutputs())
 	}
 }

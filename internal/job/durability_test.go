@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -567,5 +569,374 @@ func TestServeDeadlineParam(t *testing.T) {
 	wait(t, j)
 	if s := j.Status(); s.State != StateDone {
 		t.Fatalf("deadlined job = %+v", s)
+	}
+}
+
+// openJournaledRunner starts a one-worker runner over store and the
+// journal at jpath, past its (empty) startup recovery.
+func openJournaledRunner(t *testing.T, jpath string, store Store) *Runner {
+	t.Helper()
+	jr, recs := openTestJournal(t, jpath)
+	r := NewRunnerWith(RunnerOptions{Workers: 1, Store: store, Journal: jr})
+	if n, err := r.Recover(recs); n != 0 || err != nil {
+		t.Fatalf("startup recover = %d, %v", n, err)
+	}
+	return r
+}
+
+// fileStore opens a FileStore under dir.
+func fileStore(t *testing.T, dir string) *FileStore {
+	t.Helper()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// journalSize is the journal file's size in bytes.
+func journalSize(t *testing.T, jpath string) int64 {
+	t.Helper()
+	fi, err := os.Stat(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// benchUpload is a 4-line bench netlist upload, the shape of
+// resubmit-hot's upload traffic.
+func benchUpload() Spec {
+	return Spec{
+		Netlist: &Netlist{Format: "bench", Text: "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"},
+		T:       2,
+		Method:  MethodStructural,
+	}
+}
+
+// TestHitsWriteNoJournal is the journal contract for cache hits: once a
+// generator spec and a netlist upload are primed, 1,000 hits through
+// Runner.Submit and 1,000 through POST /v1/jobs leave the journal file
+// byte-for-byte the same size and journal.records where it was, and
+// every hit serves the bytes of its cold fold's GET /result.
+func TestHitsWriteNoJournal(t *testing.T) {
+	const n = 1000
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.wal")
+	r := openJournaledRunner(t, jpath, fileStore(t, filepath.Join(dir, "ck")))
+	defer r.Shutdown(context.Background())
+	srv := httptest.NewServer(Handler(r))
+	defer srv.Close()
+
+	specs := []Spec{smokeSpec(), benchUpload()}
+	var want [][]byte
+	for _, spec := range specs {
+		j := submitWait(t, r, spec)
+		if st := j.Status(); st.State != StateDone || st.Cache != "miss" {
+			t.Fatalf("priming fold = %+v", st)
+		}
+		want = append(want, getResult(t, j))
+	}
+	// Each priming fold journals two records; the terminal one lands
+	// just after the transition submitWait returns on.
+	records := r.Metrics().Counter(obs.MJournalRecords)
+	waitFor(t, func() bool { return records.Value() == 2*int64(len(specs)) })
+	size := journalSize(t, jpath)
+	before := records.Value()
+
+	for i := 0; i < n; i++ {
+		j, err := r.Submit(specs[i%2], SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Status(); st.State != StateDone || st.Cache != "hit" {
+			t.Fatalf("Submit hit %d = %+v", i, st)
+		}
+		if !bytes.Equal(getResult(t, j), want[i%2]) {
+			t.Fatalf("Submit hit %d: result differs from the cold fold", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		var st Status
+		if code := postJSON(t, srv.URL+"/v1/jobs", specs[i%2], &st); code != http.StatusAccepted {
+			t.Fatalf("POST hit %d = %d", i, code)
+		}
+		if st.State != StateDone || st.Cache != "hit" {
+			t.Fatalf("POST hit %d = %+v", i, st)
+		}
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET hit %d result = %d, %v", i, resp.StatusCode, err)
+		}
+		if !bytes.Equal(body, want[i%2]) {
+			t.Fatalf("POST hit %d: result differs from the cold fold", i)
+		}
+	}
+	if got := journalSize(t, jpath); got != size {
+		t.Errorf("%d hits grew the journal from %d to %d bytes", 2*n, size, got)
+	}
+	if got := records.Value(); got != before {
+		t.Errorf("%s moved from %d to %d over %d hits", obs.MJournalRecords, before, got, 2*n)
+	}
+}
+
+// TestKillMidHitStreamRecoversNothing: a crash partway through a stream
+// of hits leaves no pending work, so recovery re-enqueues nothing.
+func TestKillMidHitStreamRecoversNothing(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.wal")
+	ckDir := filepath.Join(dir, "ck")
+	r := openJournaledRunner(t, jpath, fileStore(t, ckDir))
+	submitWait(t, r, smokeSpec())
+
+	var hits atomic.Int64
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			if _, err := r.Submit(smokeSpec(), SubmitOptions{}); err != nil {
+				if !errors.Is(err, ErrShutdown) {
+					t.Error(err)
+				}
+				return
+			}
+			hits.Add(1)
+		}
+	}()
+	waitFor(t, func() bool { return hits.Load() >= 100 })
+	r.Kill()
+	<-stopped
+	t.Logf("killed after %d hits", hits.Load())
+
+	jr, recs := openTestJournal(t, jpath)
+	if pending := PendingJobs(recs); len(pending) != 0 {
+		t.Fatalf("%d jobs pending after a hit stream, want 0", len(pending))
+	}
+	r2 := NewRunnerWith(RunnerOptions{Workers: 1, Store: fileStore(t, ckDir), Journal: jr})
+	defer r2.Shutdown(context.Background())
+	if n, err := r2.Recover(recs); n != 0 || err != nil {
+		t.Fatalf("Recover = %d, %v; want 0 jobs re-enqueued", n, err)
+	}
+}
+
+// TestColdJobJournal: a cold job journals exactly its submission (with
+// the spec) and its terminal record, in that order.
+func TestColdJobJournal(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal.wal")
+	r := openJournaledRunner(t, jpath, NewMemStore())
+	j := submitWait(t, r, smokeSpec())
+	if err := r.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	r.journal.Load().Close()
+
+	_, recs := openTestJournal(t, jpath)
+	if len(recs) != 2 {
+		t.Fatalf("cold job journaled %d records (%+v), want submitted + done", len(recs), recs)
+	}
+	if recs[0].Op != OpSubmitted || recs[0].ID != j.ID() || recs[0].Spec == nil {
+		t.Errorf("record 0 = %+v, want %s submitted with its spec", recs[0], j.ID())
+	}
+	if recs[1].Op != OpDone || recs[1].ID != j.ID() {
+		t.Errorf("record 1 = %+v, want %s done", recs[1], j.ID())
+	}
+}
+
+// TestCompactionKeepsConcurrentColdSubmits races cold submits against
+// back-to-back journal compactions, then crashes the runner right after
+// the last compaction: every acknowledged job — none has a terminal
+// record, the single worker is wedged — must be pending in the journal
+// that survives, whichever file its submit record first went to.
+func TestCompactionKeepsConcurrentColdSubmits(t *testing.T) {
+	const submitters, compactions = 4, 50
+	jpath := filepath.Join(t.TempDir(), "journal.wal")
+	gate := make(chan struct{})
+	jr, _ := openTestJournal(t, jpath)
+	r := NewRunnerWith(RunnerOptions{
+		Workers: 1, QueueDepth: 100_000,
+		Store:   &gateStore{Store: NewMemStore(), gate: gate},
+		Journal: jr,
+	})
+	if _, err := r.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// The submitters stop when the compactions do, so no compaction
+	// runs after the last submit to rewrite what an earlier one lost.
+	var done atomic.Bool
+	var mu sync.Mutex
+	var acked []string
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				j, err := r.Submit(smokeSpec(), SubmitOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				acked = append(acked, j.ID())
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := 0; i < compactions; i++ {
+		r.compactJournal()
+	}
+	done.Store(true)
+	wg.Wait()
+	t.Logf("%d submits during %d compactions", len(acked), compactions)
+
+	// Crash: detach the journal, then let the wedged worker drain.
+	killed := make(chan struct{})
+	go func() {
+		r.Kill()
+		close(killed)
+	}()
+	for r.journal.Load() != nil {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-killed
+
+	jr2, recs := openTestJournal(t, jpath)
+	defer jr2.Close()
+	pending := map[string]bool{}
+	for _, rec := range PendingJobs(recs) {
+		pending[rec.ID] = true
+	}
+	for _, id := range acked {
+		if !pending[id] {
+			t.Errorf("acknowledged job %s is not pending in the journal", id)
+		}
+	}
+}
+
+// expireJob submits a job whose deadline has passed by the time a
+// worker dequeues it: a cold submission that journals two records and
+// ends without folding.
+func expireJob(t *testing.T, r *Runner) *Job {
+	t.Helper()
+	spec := smokeSpec()
+	spec.T = 8
+	j, err := r.Submit(spec, SubmitOptions{Deadline: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestJournalCompactsAtRunTime streams cold jobs through a runner and
+// checks that the journal stays bounded: a worker compacts it once
+// compactEvery terminal records have piled up, long before a restart.
+func TestJournalCompactsAtRunTime(t *testing.T) {
+	const jobs = 2*compactEvery + 200
+	jpath := filepath.Join(t.TempDir(), "journal.wal")
+	r := openJournaledRunner(t, jpath, NewMemStore())
+	defer r.Shutdown(context.Background())
+
+	var perJob, peak int64
+	for i := 0; i < jobs; i++ {
+		j := expireJob(t, r)
+		wait(t, j)
+		if st := j.Status(); st.State != StateFailed {
+			t.Fatalf("job %s = %+v, want failed in the queue", j.ID(), st)
+		}
+		if i == 0 {
+			// The first job's records, with slack for longer IDs and
+			// timestamps later on. Its terminal record is appended just
+			// after the transition wait returns on.
+			waitFor(t, func() bool { return r.Metrics().Counter(obs.MJournalRecords).Value() == 2 })
+			perJob = journalSize(t, jpath) - int64(len(journalMagic)) + 16
+		}
+		peak = max(peak, journalSize(t, jpath))
+	}
+	// A few jobs may finish between a compaction coming due and the
+	// worker running it.
+	if bound := int64(len(journalMagic)) + (compactEvery+64)*perJob; peak > bound {
+		t.Errorf("journal peaked at %d bytes over %d cold jobs, want <= %d", peak, jobs, bound)
+	}
+}
+
+// TestRecoverAfterRunTimeCompaction crashes a runner right after a
+// worker compacted the journal mid-run: the jobs still queued or
+// running at the compaction survive it and are all recovered.
+func TestRecoverAfterRunTimeCompaction(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.wal")
+	gate := make(chan struct{})
+	r := openJournaledRunner(t, jpath, &gateStore{Store: NewMemStore(), gate: gate})
+	for i := 0; i < compactEvery; i++ {
+		wait(t, expireJob(t, r))
+	}
+	before, err := os.Stat(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The next terminal record makes compaction due; a and b are queued
+	// behind it, and a then wedges the worker in the store gate.
+	expireJob(t, r)
+	specB := smokeSpec()
+	specB.T = 32
+	var live []*Job
+	for _, spec := range []Spec{smokeSpec(), specB} {
+		j, err := r.Submit(spec, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, j)
+	}
+	waitFor(t, func() bool {
+		now, err := os.Stat(jpath)
+		return err == nil && !os.SameFile(before, now)
+	})
+	waitRunning(t, live[0])
+
+	killed := make(chan struct{})
+	go func() {
+		r.Kill()
+		close(killed)
+	}()
+	for r.journal.Load() != nil {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-killed
+
+	jr, recs := openTestJournal(t, jpath)
+	pending := PendingJobs(recs)
+	if len(pending) != 2 || len(recs) != 2 {
+		t.Fatalf("after run-time compaction: %d records, %d pending; want the 2 live jobs", len(recs), len(pending))
+	}
+	r2 := NewRunnerWith(RunnerOptions{Workers: 1, Journal: jr})
+	defer r2.Shutdown(context.Background())
+	if n, err := r2.Recover(recs); n != 2 || err != nil {
+		t.Fatalf("Recover = %d, %v; want 2", n, err)
+	}
+	for _, j := range r2.Jobs() {
+		wait(t, j)
+		if st := j.Status(); st.State != StateDone || !st.Recovered {
+			t.Errorf("recovered job %s = %+v", j.ID(), st)
+		}
+	}
+}
+
+// waitFor polls cond until it holds or the test times out.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never held")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

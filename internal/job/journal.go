@@ -13,13 +13,18 @@ import (
 	"time"
 )
 
-// The job journal is a crash-safe append-only write-ahead log of job
-// lifecycle transitions, kept under the checkpoint root. Folding is
+// The job journal is a crash-safe append-only write-ahead log of the
+// work a crash could lose, kept under the checkpoint root. Folding is
 // deterministic, so the journal does not need to capture results — only
 // intent: a submit record carries the full Spec, and replaying it after
 // a crash re-folds (or snapshot-resumes, via the checkpoint store) to
 // the bit-identical result. Duplicate replays are therefore harmless,
 // which keeps the recovery protocol idempotent and simple.
+//
+// The runner journals what PendingJobs reads and nothing else: a queued
+// job's submit record, then its terminal record. A submit-time cache
+// hit finishes before Submit returns, so it leaves no pending work and
+// writes no record.
 //
 // On-disk format: an 8-byte file magic, then a sequence of records,
 // each framed as
@@ -41,15 +46,16 @@ const journalMagic = "CFJRNL01"
 // corrupt length field, not a record.
 const maxJournalPayload = 64 << 20
 
-// JournalOp is a job lifecycle transition.
+// JournalOp is a journaled job lifecycle transition.
 type JournalOp string
 
 const (
 	// OpSubmitted records an accepted submission; the record carries
 	// the Spec so the job can be replayed after a crash.
 	OpSubmitted JournalOp = "submitted"
-	// OpStarted records a worker picking the job up. Informational:
-	// a started job without a terminal record replays the same way a
+	// OpStarted recorded a worker picking the job up. The runner no
+	// longer writes it, but journals from older binaries hold it: a
+	// started job without a terminal record replays the same way a
 	// queued one does.
 	OpStarted JournalOp = "started"
 	// OpDone, OpFailed, OpCanceled are terminal; a job with a terminal
@@ -231,8 +237,8 @@ func (j *Journal) writeLocked(rec JournalRecord) error {
 }
 
 // Compact atomically replaces the journal's contents with recs (the
-// live jobs, typically re-journaled submit records after a recovery
-// replay). The rewrite goes through a temp file + fsync + rename so a
+// live jobs' submit records, after a recovery replay or once enough
+// jobs have finished). The rewrite goes through a temp file + fsync + rename so a
 // crash mid-compaction leaves either the old journal or the new one,
 // never a mix. Records with Seq 0 are assigned fresh sequence numbers.
 func (j *Journal) Compact(recs []JournalRecord) error {

@@ -73,7 +73,12 @@ type Job struct {
 	spec    Spec
 	key     string
 	foldKey string // shared-work content address (Spec.FoldKey)
-	g       *circuitfold.Circuit
+	// g is the circuit to fold: set on a queued job only, and taken by
+	// the worker that dequeues it, so no job keeps its circuit after that.
+	g *circuitfold.Circuit
+	// journaled marks a job whose submit record is in the journal: only
+	// such a job journals its terminal record. Immutable after Submit.
+	journaled bool
 
 	events    *obs.Broadcast
 	metrics   *circuitfold.Metrics
@@ -274,7 +279,8 @@ var terminalCounters = map[State]string{
 // terminal) leaves the job untouched, so concurrent finishers — the
 // fold worker and a user cancel — cannot interleave their result
 // fields. The winner counts the state before the transition, so a
-// client woken by it sees the count, and journals it after.
+// client woken by it sees the count. A queued job's winner journals the
+// terminal record after it; a submit-time cache hit journals nothing.
 func (j *Job) finishWith(state State, errText string, mutate func()) bool {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
@@ -294,7 +300,9 @@ func (j *Job) finishWith(state State, errText string, mutate func()) bool {
 	// Best effort: a lost terminal record only means recovery replays a
 	// job whose result is already snapshotted, which resumes instantly.
 	// The terminal journal ops are spelled like the states.
-	j.r.appendJournal(j, JournalOp(state), nil, errText)
+	if j.journaled {
+		j.r.appendJournal(j, JournalOp(state), nil, errText)
+	}
 	return true
 }
 
@@ -308,12 +316,15 @@ type Runner struct {
 	metrics *obs.Registry // process-level: lifecycle, latency, HTTP
 	cache   *cache.Cache  // shared-work result cache, keyed by fold key
 
-	// journal is the durable transition log, or nil. It is an atomic
-	// pointer — not guarded by r.mu — because terminal transitions
-	// journal from finishWith, which runs both with and without r.mu
-	// held; Kill swaps it to nil to simulate a crash (no terminal
-	// records reach disk).
+	// journal is the durable log of pending work, or nil. It is an
+	// atomic pointer — not guarded by r.mu — because terminal
+	// transitions journal from finishWith, which runs both with and
+	// without r.mu held; Kill swaps it to nil to simulate a crash (no
+	// terminal records reach disk).
 	journal atomic.Pointer[Journal]
+	// journalDead counts terminal records appended since the last
+	// compaction: each one makes a job's records dead weight.
+	journalDead atomic.Int64
 
 	// avgRun is an EWMA of fold wall time in nanoseconds, feeding the
 	// Retry-After estimate on queue-full rejections.
@@ -351,10 +362,13 @@ type RunnerOptions struct {
 	// folding); zero selects the default of 1024. At capacity, Submit
 	// fast-fails with *QueueFullError instead of queueing unboundedly.
 	QueueDepth int
-	// Journal, when set, records every job transition durably and is
-	// consulted on startup recovery. The runner starts in the
-	// recovering state (readiness probes fail) until Recover is called
-	// — with the journal's replayed records, or nil to skip replay.
+	// Journal, when set, durably records the work a crash could lose —
+	// each queued job's submission, then its terminal transition — and
+	// is consulted on startup recovery. A submit-time cache hit, which
+	// finishes before Submit returns, writes nothing. The runner starts
+	// in the recovering state (readiness probes fail) until Recover is
+	// called — with the journal's replayed records, or nil to skip
+	// replay.
 	Journal *Journal
 }
 
@@ -484,7 +498,6 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 		spec:      spec,
 		key:       key,
 		foldKey:   foldKey,
-		g:         g,
 		events:    obs.NewBroadcast(eventReplay),
 		metrics:   circuitfold.NewMetrics(),
 		flight:    obs.NewFlightRecorder(0, 0),
@@ -508,11 +521,9 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 	// submission without touching an engine; anything else enqueues.
 	if hit {
 		r.register(j)
-		// Journal the submission first so the done record of the
-		// transition has a matching lifecycle. Best effort: a hit
-		// completes synchronously, so there is no pending work a crash
-		// could lose.
-		r.appendJournal(j, OpSubmitted, &spec, "")
+		// No journal record and no circuit: the hit finishes before
+		// Submit returns, so no acknowledged work is pending for a crash
+		// to lose, and the hit does no disk I/O.
 		r.metrics.Counter(obs.MJobCacheHits).Add(1)
 		j.log.Info("job submitted",
 			"method", j.spec.EffectiveMethod(), "t", j.spec.T, "cache", "hit")
@@ -528,12 +539,14 @@ func (r *Runner) Submit(spec Spec, so SubmitOptions) (*Job, error) {
 		return nil, &QueueFullError{Depth: len(r.queue), RetryAfter: r.retryAfter()}
 	}
 	j.cacheStat = "miss"
+	j.g = g
 	// Journal before enqueueing, strictly: once Submit acknowledges a
 	// queued job, a crash must be able to replay it. If the record cannot
 	// be made durable the submission is refused.
 	if err := r.appendJournal(j, OpSubmitted, &spec, ""); err != nil {
 		return nil, fmt.Errorf("job: refusing submission, journal append failed: %w", err)
 	}
+	j.journaled = true
 	r.queue <- j
 	r.register(j)
 	r.metrics.Counter(obs.MJobCacheMisses).Add(1)
@@ -561,10 +574,10 @@ func (r *Runner) retryAfter() time.Duration {
 	return est
 }
 
-// appendJournal appends one transition record for j; spec is set on
-// submit records only. A failed append is logged and returned, and the
-// caller decides whether it matters: only a queued job's submit record
-// refuses the submission. No-op without a journal. Terminal records are
+// appendJournal appends one record for j; spec is set on submit
+// records only. A failed append is logged and returned, and the caller
+// decides whether it matters: only a queued job's submit record refuses
+// the submission. No-op without a journal. Terminal records are
 // appended from finishWith — with r.mu sometimes held — so this must
 // not touch r.mu.
 func (r *Runner) appendJournal(j *Job, op JournalOp, spec *Spec, errText string) error {
@@ -577,6 +590,9 @@ func (r *Runner) appendJournal(j *Job, op JournalOp, spec *Spec, errText string)
 		return err
 	}
 	r.metrics.Counter(obs.MJournalRecords).Add(1)
+	if op.terminal() {
+		r.journalDead.Add(1)
+	}
 	return nil
 }
 
@@ -721,13 +737,34 @@ func (r *Runner) Recover(recs []JournalRecord) (int, error) {
 	return n, firstErr
 }
 
+// compactEvery is the number of terminal records after which a worker
+// compacts the journal between jobs, so a long-running daemon's journal
+// stays bounded instead of growing until the next restart.
+const compactEvery = 4096
+
+// compactDue reports whether enough terminal records have piled up
+// since the last compaction — more than compactEvery, and more than the
+// live jobs a compaction rewrites (at most the queue plus one per
+// worker) — and claims the compaction for the caller.
+func (r *Runner) compactDue() bool {
+	n := r.journalDead.Load()
+	live := int64(len(r.queue) + r.workers)
+	return n > compactEvery && n > live && r.journalDead.CompareAndSwap(n, 0)
+}
+
 // compactJournal rewrites the journal down to the currently-live jobs.
+// r.mu is held from the gather through the rename: a cold submit
+// appends its record under r.mu, so none can land in the old file after
+// the gather and vanish with it. A terminal record that does is
+// harmless: its job is still in the live set and replays idempotently.
+// finishWith can run under r.mu, so it must never call this.
 func (r *Runner) compactJournal() {
 	jr := r.journal.Load()
 	if jr == nil {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	var live []JournalRecord
 	for _, id := range r.order {
 		j := r.jobs[id]
@@ -738,7 +775,6 @@ func (r *Runner) compactJournal() {
 		}
 		j.mu.Unlock()
 	}
-	r.mu.Unlock()
 	if err := jr.Compact(live); err != nil {
 		r.log.Warn("journal compaction failed", "err", err.Error())
 	}
@@ -758,11 +794,15 @@ func (r *Runner) Kill() {
 	r.wg.Wait()
 }
 
-// worker drains the queue.
+// worker drains the queue, compacting the journal between jobs once it
+// is due.
 func (r *Runner) worker() {
 	defer r.wg.Done()
 	for j := range r.queue {
 		r.runJob(j)
+		if r.compactDue() {
+			r.compactJournal()
+		}
 	}
 }
 
@@ -771,6 +811,10 @@ func (r *Runner) worker() {
 // instead of folding again: a duplicate queued behind an identical
 // fold gets that fold's bytes once it settles.
 func (r *Runner) runJob(j *Job) {
+	// The fold below is the circuit's only reader: the job lets go of it
+	// here, so a finished job holds no circuit.
+	g := j.g
+	j.g = nil
 	run := r.start(j)
 	if run == nil {
 		return
@@ -782,7 +826,7 @@ func (r *Runner) runJob(j *Job) {
 		})
 		return
 	}
-	method, res, err := fold(j, run)
+	method, res, err := fold(j, g, run)
 	r.settle(j, run, method, res, err)
 }
 
@@ -845,7 +889,6 @@ func (r *Runner) start(j *Job) *jobRun {
 	r.metrics.Timing(obs.MJobQueueWait).Observe(queueWait)
 	r.metrics.Gauge(obs.MJobQueueDepth).Set(int64(len(r.queue)))
 	r.metrics.Gauge(obs.MJobRunning).Add(1)
-	r.appendJournal(j, OpStarted, nil, "")
 	j.log.Info("job started", "queue_wait", queueWait.Seconds())
 
 	run := &jobRun{ctx: ctx, cancel: cancel, ck: r.store.Checkpoint(j.key)}
@@ -873,10 +916,10 @@ func (r *Runner) stop(run *jobRun) {
 	r.metrics.Gauge(obs.MJobRunning).Add(-1)
 }
 
-// fold runs the spec's method on the job's circuit under the run's
+// fold runs the spec's method on the job's circuit g under the run's
 // context and checkpoints. method is the one that produced res: the
 // resilient ladder reports the rung that won.
-func fold(j *Job, run *jobRun) (method string, res *circuitfold.Result, err error) {
+func fold(j *Job, g *circuitfold.Circuit, run *jobRun) (method string, res *circuitfold.Result, err error) {
 	opt := j.spec.Options()
 	opt.Context = run.ctx
 	// Spans fan out to the live SSE stream and the flight recorder.
@@ -888,16 +931,16 @@ func fold(j *Job, run *jobRun) (method string, res *circuitfold.Result, err erro
 	method = j.spec.EffectiveMethod()
 	switch method {
 	case MethodFunctional:
-		res, err = circuitfold.Functional(j.g, j.spec.T, opt)
+		res, err = circuitfold.Functional(g, j.spec.T, opt)
 	case MethodStructural:
-		res, err = circuitfold.Structural(j.g, j.spec.T, opt)
+		res, err = circuitfold.Structural(g, j.spec.T, opt)
 	case MethodHybrid:
-		res, err = circuitfold.Hybrid(j.g, j.spec.T, opt)
+		res, err = circuitfold.Hybrid(g, j.spec.T, opt)
 	case MethodSimple:
-		res, err = circuitfold.Simple(j.g, j.spec.T)
+		res, err = circuitfold.Simple(g, j.spec.T)
 	case MethodResilient:
 		var rr *circuitfold.ResilientResult
-		rr, err = circuitfold.RunResilient(j.g, j.spec.T, circuitfold.ResilientOptions{
+		rr, err = circuitfold.RunResilient(g, j.spec.T, circuitfold.ResilientOptions{
 			Options:         opt,
 			SelfCheckRounds: j.spec.SelfCheckRounds,
 		})

@@ -393,3 +393,21 @@ func TestRunnerNoGoroutineLeak(t *testing.T) {
 		}
 	}
 }
+
+// TestJobsReleaseCircuit: only a queued job carries its circuit, and the
+// worker takes it, so neither a finished cold job nor a submit-time
+// cache hit keeps one alive for the life of the runner.
+func TestJobsReleaseCircuit(t *testing.T) {
+	r := NewRunnerWith(RunnerOptions{Workers: 1})
+	defer r.Shutdown(context.Background())
+	cold := submitWait(t, r, smokeSpec())
+	hit := submitWait(t, r, smokeSpec())
+	if cold.CacheStatus() != "miss" || hit.CacheStatus() != "hit" {
+		t.Fatalf("cache = %q, %q; want miss, hit", cold.CacheStatus(), hit.CacheStatus())
+	}
+	for _, j := range []*Job{cold, hit} {
+		if j.g != nil {
+			t.Errorf("%s job %s still holds its circuit", j.CacheStatus(), j.ID())
+		}
+	}
+}
