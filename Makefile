@@ -98,10 +98,13 @@ bench:
 
 # bench-go runs the Go benchmark suite for the sweeping engine, the
 # functional engine's tff, MeMin and encode stages on table3-functional
-# machines, and the BDD kernel.
+# machines, the BDD kernel, and the fold service's encoding twin (a
+# job that restores schedule, tff and minimize from another fold's
+# stage blobs).
 bench-go:
 	$(GO) test . -run XXX -bench 'BenchmarkSweep|BenchmarkSimWordsW|BenchmarkTFFTable3|BenchmarkMinimizeTable3|BenchmarkEncodeTable3' -benchmem
 	$(GO) test ./internal/bdd -run XXX -bench 'BenchmarkBDD' -benchmem
+	$(GO) test ./internal/job -run XXX -bench 'BenchmarkFoldTwin' -benchmem
 
 # bench-bdd-smoke runs every BDD kernel benchmark once under the race
 # detector — a cheap PR gate that the storage layer's benchmarks still

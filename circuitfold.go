@@ -156,20 +156,16 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 }
 
 // Checkpoint is a per-stage snapshot store for resumable folds: after
-// each pipeline stage completes, its state is serialized and saved
-// under the stage name, and a later fold over the same store restores
-// the completed stages instead of re-running them, producing a Result
-// bit-identical to an uninterrupted fold. Keying the store to the
-// (circuit, T, options) triple is the caller's responsibility — see
-// internal/job for a content-addressed store.
+// a functional fold's schedule, tff and minimize stages complete, each
+// one's output is serialized and saved under the stage's content
+// address, and a later fold whose stage has the same address restores
+// it instead of re-running, producing a Result bit-identical to an
+// uninterrupted fold. The address hashes the circuit's structure, T,
+// the budget, the pipeline name and every option the stages up to it
+// read, so one store can serve any number of folds: a fold that
+// differs from an earlier one only in its state encoding restores all
+// three stages.
 type Checkpoint = pipeline.Checkpoint
-
-// PrefixCheckpoint namespaces a checkpoint store under prefix, so
-// independent pipelines (e.g. the rungs of a resilient fold) can share
-// one store without colliding. A nil store stays nil.
-func PrefixCheckpoint(ck Checkpoint, prefix string) Checkpoint {
-	return pipeline.PrefixCheckpoint(ck, prefix)
-}
 
 // PipelineError is the typed error returned when a fold is cancelled
 // or exhausts its budget: it names the pipeline and stage and carries
@@ -232,9 +228,9 @@ type Options struct {
 	Observer *Observer
 	// Checkpoint, when non-nil, saves per-stage snapshots so an
 	// interrupted fold can resume at the last completed stage (see
-	// Checkpoint). The Structural and Functional engines checkpoint
-	// every stage; Hybrid and Simple ignore it (their callers
-	// checkpoint the final result instead).
+	// Checkpoint). The Functional engine checkpoints its schedule, tff
+	// and minimize stages; the other methods ignore it (their callers
+	// keep the final result instead).
 	Checkpoint Checkpoint
 }
 
@@ -275,11 +271,10 @@ func finish(r *Result, err error, trace bool) (*Result, error) {
 func Structural(g *Circuit, T int, opt Options) (r *Result, err error) {
 	defer pipeline.RecoverTo(&err, "circuitfold.Structural")
 	r, err = core.StructuralFold(g, T, core.StructuralOptions{
-		Counter:    opt.Counter,
-		Ctx:        opt.Context,
-		Budget:     opt.budget(),
-		Obs:        opt.Observer,
-		Checkpoint: opt.Checkpoint,
+		Counter: opt.Counter,
+		Ctx:     opt.Context,
+		Budget:  opt.budget(),
+		Obs:     opt.Observer,
 	})
 	return finish(r, err, opt.Trace)
 }

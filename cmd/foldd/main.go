@@ -11,11 +11,13 @@
 //	      [-queue-depth 1024] [-drain-timeout 30s]
 //	      [-log-level info] [-log-format text] [-pprof]
 //
-// With -checkpoint-dir, every pipeline stage snapshots into a
-// file-backed, checksummed store keyed by the job spec's content hash:
-// a job killed mid-fold (crash, deadline, SIGTERM past the drain
-// window) resumes at the last completed stage when the same spec is
-// resubmitted — to this process or a restarted one — and produces a
+// With -checkpoint-dir, the functional schedule, tff and minimize
+// stages snapshot into a file-backed, checksummed store, each under the
+// content address of what it read, and each job's result under its
+// spec's content hash: a job killed mid-fold (crash, deadline, SIGTERM
+// past the drain window) resumes at the last completed stage when the
+// same spec — or any fold agreeing with it up to that stage — is
+// submitted to this process or a restarted one, and produces a
 // bit-identical Result. The same directory holds the job journal
 // (journal.wal): every accepted submission is fsynced to it before the
 // daemon acknowledges, and on startup the daemon replays the journal,

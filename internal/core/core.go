@@ -186,16 +186,6 @@ func (r *Result) Execute(in []bool) []bool {
 // run.
 func sweepStage(res **Result, opt *aig.SweepOptions, run *pipeline.Run) pipeline.Stage {
 	return pipeline.Stage{Name: pipeline.StageSweep,
-		Snapshot: func() ([]byte, error) { return EncodeResult(*res) },
-		Restore: func(data []byte, ss *pipeline.StageStats) error {
-			r, err := DecodeResult(data)
-			if err != nil {
-				return err
-			}
-			*res = r
-			ss.AndsOut = r.Seq.G.NumAnds()
-			return nil
-		},
 		Run: func(ss *pipeline.StageStats) error {
 			r := *res
 			o := *opt

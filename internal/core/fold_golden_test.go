@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"circuitfold/internal/core"
@@ -281,8 +282,8 @@ type tffCapture struct{ blob []byte }
 
 func (c *tffCapture) Load(string) ([]byte, bool) { return nil, false }
 
-func (c *tffCapture) Save(stage string, data []byte) error {
-	if stage == pipeline.StageTFF {
+func (c *tffCapture) Save(key string, data []byte) error {
+	if strings.HasPrefix(key, pipeline.StageTFF+"/") {
 		c.blob = append([]byte(nil), data...)
 	}
 	return nil
@@ -341,4 +342,56 @@ func TestFoldGoldenTable3(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFoldGoldenTable3SharedStore folds every configuration of
+// foldGolden, in table order, through one shared checkpoint store: a
+// configuration that agrees with an earlier one up to a stage restores
+// that stage from its blob instead of running it. Every result must
+// still hash to its golden, and the twins must really share: each
+// configuration whose (circuit, T, reorder) came earlier resumes its
+// schedule and tff stages.
+func TestFoldGoldenTable3SharedStore(t *testing.T) {
+	shared := newMemCheckpoint()
+	type prefix struct {
+		circuit string
+		T       int
+		reorder bool
+	}
+	seen := map[prefix]bool{}
+	restored := 0
+	for _, c := range foldGolden {
+		name := fmt.Sprintf("%s/T=%d/m=%v/%s/reorder=%v", c.circuit, c.T, c.minimize, c.enc, c.reorder)
+		g := gen.MustBuild(c.circuit)
+		opt := core.DefaultFunctionalOptions()
+		opt.Reorder, opt.Minimize, opt.Workers = c.reorder, c.minimize, 1
+		opt.StateEnc = core.Binary
+		if c.enc == "1hot" {
+			opt.StateEnc = core.OneHot
+		}
+		opt.Checkpoint = shared
+		res, err := core.FunctionalFold(g, c.T, opt)
+		if err != nil {
+			t.Fatalf("%s: fold: %v", name, err)
+		}
+		p := prefix{c.circuit, c.T, c.reorder}
+		for _, stage := range []string{pipeline.StageSchedule, pipeline.StageTFF} {
+			if got := res.Report.Stage(stage).Resumed; got != seen[p] {
+				t.Errorf("%s: stage %s resumed=%v, want %v", name, stage, got, seen[p])
+			}
+		}
+		if res.Report.Stage(pipeline.StageTFF).Resumed {
+			restored++
+		}
+		seen[p] = true
+		res.Report = nil
+		blob, err := core.EncodeResult(res)
+		if err != nil {
+			t.Fatalf("%s: encode result: %v", name, err)
+		}
+		if got := sha(blob); got != c.result {
+			t.Errorf("%s: result through the shared store hashes to %s, want %s", name, got, c.result)
+		}
+	}
+	t.Logf("%d of %d folds restored tff from the shared store", restored, len(foldGolden))
 }

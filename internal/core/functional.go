@@ -50,12 +50,16 @@ type FunctionalOptions struct {
 	// Obs, when non-nil, receives span traces and metrics for the whole
 	// fold (see internal/obs). Nil disables observability at zero cost.
 	Obs *obs.Observer
-	// Checkpoint, when non-nil, saves each completed stage's output
-	// artifact (schedule, folded machine, minimized machine, encoded
-	// result) and restores from it on a later run, re-entering the
-	// pipeline at the last completed stage. The caller must key the
-	// store to the (circuit, T, options) triple — the stages trust that
-	// a stored artifact belongs to this exact fold.
+	// Checkpoint, when non-nil, saves the schedule, folded machine and
+	// minimized machine and restores them on a later run, re-entering
+	// the pipeline after the last stage it finds. Each artifact is saved
+	// under its stage's address (pipeline.Addresses): the circuit's
+	// structural hash, T and Budget, then the options each stage reads
+	// up to it — Reorder for schedule, MinOpts for minimize, StateEnc
+	// for encode. So one store can serve every fold: folds that differ
+	// only in a later stage's options share the earlier stages. The
+	// encoded result is not checkpointed; callers that keep results
+	// store them whole.
 	Checkpoint pipeline.Checkpoint
 }
 
@@ -92,20 +96,39 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 		return nil, err
 	}
 	run := pipeline.NewRunObserved(opt.Ctx, opt.Budget, opt.Obs)
-	run.SetCheckpoint(opt.Checkpoint)
 	if T == 1 {
 		return identityFold(g, run, "functional", opt.PostOptimize)
 	}
+	if opt.Checkpoint != nil {
+		run.SetCheckpoint(opt.Checkpoint, foldInput(g, T))
+	}
+	var res *Result
+	rep, err := pipeline.Execute(run, "functional", functionalStages(g, T, opt, run, &res)...)
+	if err != nil {
+		return nil, err
+	}
+	res.Report = rep
+	return res, nil
+}
 
+// foldInput names what a fold of g by T reads before any option: the
+// root of its stage addresses.
+func foldInput(g *aig.Graph, T int) string {
+	return fmt.Sprintf("aig=%016x t=%d", aig.StructuralHash(g), T)
+}
+
+// functionalStages composes FunctionalFold's pipeline over run; the
+// encode stage leaves the fold in *res. Each stage declares in Reads
+// the options it reads, which the stage addresses hash.
+func functionalStages(g *aig.Graph, T int, opt FunctionalOptions, run *pipeline.Run, res **Result) []pipeline.Stage {
 	var (
 		sched     *Schedule
 		machine   *fsm.Machine
 		states    int
 		statesMin = -1
-		res       *Result
 	)
 	stages := []pipeline.Stage{
-		{Name: pipeline.StageSchedule, Run: func(ss *pipeline.StageStats) error {
+		{Name: pipeline.StageSchedule, Reads: "reorder=" + strconv.FormatBool(opt.Reorder), Run: func(ss *pipeline.StageStats) error {
 			ss.AndsIn = g.NumAnds()
 			ss.AndsOut = g.NumAnds() // scheduling never rewrites the graph
 			var err error
@@ -150,9 +173,14 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 		},
 	}
 	if opt.Minimize {
-		stages = append(stages, pipeline.Stage{Name: pipeline.StageMinimize, Run: func(ss *pipeline.StageStats) error {
+		// Stop, Span and Metrics only observe or abort a solve; the
+		// bounds can change which machine comes out.
+		mo := opt.MinOpts
+		reads := fmt.Sprintf("max_atoms=%d conflict_budget=%d max_learnt_lits=%d timeout=%d max_classes=%d max_states=%d",
+			mo.MaxAtoms, mo.ConflictBudget, mo.MaxLearntLits, int64(mo.Timeout), mo.MaxClasses, mo.MaxStates)
+		stages = append(stages, pipeline.Stage{Name: pipeline.StageMinimize, Reads: reads, Run: func(ss *pipeline.StageStats) error {
 			ss.StatesIn = states
-			mo := opt.MinOpts
+			mo := mo
 			if mo.Stop == nil {
 				mo.Stop = run.Check
 			}
@@ -197,7 +225,7 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 			},
 		})
 	}
-	stages = append(stages, pipeline.Stage{Name: pipeline.StageEncode, Run: func(ss *pipeline.StageStats) error {
+	stages = append(stages, pipeline.Stage{Name: pipeline.StageEncode, Reads: "state_enc=" + opt.StateEnc.String(), Run: func(ss *pipeline.StageStats) error {
 		ss.StatesIn = machine.NumStates()
 		enc := fsm.NaturalBinary
 		if opt.StateEnc == OneHot {
@@ -208,7 +236,7 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 			return err
 		}
 		ss.AndsOut = circuit.G.NumAnds()
-		res = &Result{
+		*res = &Result{
 			Seq:       circuit,
 			T:         T,
 			InSched:   sched.InSlot,
@@ -217,30 +245,11 @@ func FunctionalFold(g *aig.Graph, T int, opt FunctionalOptions) (*Result, error)
 			StatesMin: statesMin,
 		}
 		return nil
-	},
-		Snapshot: func() ([]byte, error) { return EncodeResult(res) },
-		Restore: func(data []byte, ss *pipeline.StageStats) error {
-			r, err := DecodeResult(data)
-			if err != nil {
-				return err
-			}
-			res = r
-			if machine != nil {
-				ss.StatesIn = machine.NumStates()
-			}
-			ss.AndsOut = res.Seq.G.NumAnds()
-			return nil
-		},
-	})
+	}})
 	if opt.PostOptimize != nil {
-		stages = append(stages, sweepStage(&res, opt.PostOptimize, run))
+		stages = append(stages, sweepStage(res, opt.PostOptimize, run))
 	}
-	rep, err := pipeline.Execute(run, "functional", stages...)
-	if err != nil {
-		return nil, err
-	}
-	res.Report = rep
-	return res, nil
+	return stages
 }
 
 // TimeFrameFold constructs the minimal per-frame FSM of the scheduled

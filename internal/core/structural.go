@@ -28,11 +28,6 @@ type StructuralOptions struct {
 	// Obs, when non-nil, receives span traces and metrics for the whole
 	// fold (see internal/obs). Nil disables observability at zero cost.
 	Obs *obs.Observer
-	// Checkpoint, when non-nil, saves the synthesized (and swept)
-	// result so a re-run over the same store returns it without
-	// re-folding. Keying the store to the (circuit, T, options) triple
-	// is the caller's responsibility.
-	Checkpoint pipeline.Checkpoint
 }
 
 // StructuralFold folds the combinational circuit g by T time-frames using
@@ -47,7 +42,6 @@ func StructuralFold(g *aig.Graph, T int, opt StructuralOptions) (*Result, error)
 		return nil, err
 	}
 	run := pipeline.NewRunObserved(opt.Ctx, opt.Budget, opt.Obs)
-	run.SetCheckpoint(opt.Checkpoint)
 	return structuralFoldRun(g, T, opt, run)
 }
 
@@ -291,19 +285,7 @@ func structuralFoldRun(g *aig.Graph, T int, opt StructuralOptions, run *pipeline
 				StatesMin: -1,
 			}
 			return nil
-		},
-			Snapshot: func() ([]byte, error) { return EncodeResult(res) },
-			Restore: func(data []byte, ss *pipeline.StageStats) error {
-				r, err := DecodeResult(data)
-				if err != nil {
-					return err
-				}
-				res = r
-				ss.AndsIn = g.NumAnds()
-				ss.AndsOut = r.Seq.G.NumAnds()
-				return nil
-			},
-		},
+		}},
 	}
 	if opt.PostOptimize != nil {
 		stages = append(stages, sweepStage(&res, opt.PostOptimize, run))

@@ -596,11 +596,37 @@ func (r *Runner) appendJournal(j *Job, op JournalOp, spec *Spec, errText string)
 	return nil
 }
 
-// register indexes a new job. Called with r.mu held.
+// maxJobs bounds the job table. Past it, register evicts the oldest
+// finished jobs, so a long-lived daemon holds at most this many
+// terminal jobs; a queued or running job is never evicted. An evicted
+// job's ID is unknown from then on (404 over HTTP).
+const maxJobs = 4096
+
+// register indexes a new job, evicting the oldest finished jobs past
+// maxJobs. Called with r.mu held.
 func (r *Runner) register(j *Job) {
 	r.jobs[j.id] = j
 	r.order = append(r.order, j.id)
 	r.metrics.Counter(obs.MJobSubmitted).Add(1)
+	// Walk from the oldest job, dropping finished ones until the table
+	// fits; the live jobs passed on the way keep their order, moved up
+	// to just before the first job not visited. Usually the oldest job
+	// is finished and this drops one ID off the front.
+	excess := len(r.order) - maxJobs
+	live, i := 0, 0
+	for ; i < len(r.order) && excess > 0; i++ {
+		id := r.order[i]
+		select {
+		case <-r.jobs[id].done:
+			delete(r.jobs, id)
+			excess--
+		default:
+			r.order[live] = id
+			live++
+		}
+	}
+	copy(r.order[i-live:i], r.order[:live])
+	r.order = r.order[i-live:]
 }
 
 // shortKey abbreviates a content hash for log correlation.
@@ -834,7 +860,8 @@ func (r *Runner) runJob(j *Job) {
 type jobRun struct {
 	ctx    context.Context // the fold's context: cancelable, deadline-bound, pprof-labeled
 	cancel context.CancelFunc
-	ck     pipeline.Checkpoint // the job's checkpoints, under its spec hash
+	ck     pipeline.Checkpoint // the job's namespace: final snapshot, profile, flight record
+	stages pipeline.Checkpoint // the store-wide stage namespace the fold checkpoints into
 	cpu    *bytes.Buffer       // the CPU profile being recorded, nil when none
 }
 
@@ -891,7 +918,8 @@ func (r *Runner) start(j *Job) *jobRun {
 	r.metrics.Gauge(obs.MJobRunning).Add(1)
 	j.log.Info("job started", "queue_wait", queueWait.Seconds())
 
-	run := &jobRun{ctx: ctx, cancel: cancel, ck: r.store.Checkpoint(j.key)}
+	run := &jobRun{ctx: ctx, cancel: cancel,
+		ck: r.store.Checkpoint(j.key), stages: r.store.Checkpoint(stageNamespace)}
 	// Opt-in CPU profile of the whole fold window; a heap profile is
 	// snapshotted after the fold, in captureProfile.
 	if j.profile == "cpu" {
@@ -917,8 +945,9 @@ func (r *Runner) stop(run *jobRun) {
 }
 
 // fold runs the spec's method on the job's circuit g under the run's
-// context and checkpoints. method is the one that produced res: the
-// resilient ladder reports the rung that won.
+// context, checkpointing stages into the store-wide stage namespace.
+// method is the one that produced res: the resilient ladder reports the
+// rung that won.
 func fold(j *Job, g *circuitfold.Circuit, run *jobRun) (method string, res *circuitfold.Result, err error) {
 	opt := j.spec.Options()
 	opt.Context = run.ctx
@@ -927,7 +956,7 @@ func fold(j *Job, g *circuitfold.Circuit, run *jobRun) (method string, res *circ
 		Tracer:  circuitfold.NewTracer(obs.MultiSink(j.events, j.flight)),
 		Metrics: j.metrics,
 	}
-	opt.Checkpoint = run.ck
+	opt.Checkpoint = run.stages
 	method = j.spec.EffectiveMethod()
 	switch method {
 	case MethodFunctional:

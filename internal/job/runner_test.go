@@ -150,9 +150,10 @@ func TestRunnerFinalSnapshotResume(t *testing.T) {
 	}
 }
 
-// killStore wraps a Store so tests can observe stage saves — the
+// killStore wraps a Store so tests can observe saves — the
 // deterministic stand-in for "the daemon died right after stage X
-// checkpointed".
+// checkpointed". onSave gets the stage name of a stage address
+// ("tff" for "tff/<digest>") and any other key as it is.
 type killStore struct {
 	Store
 	mu     sync.Mutex
@@ -174,7 +175,8 @@ func (c *killCheckpoint) Save(stage string, data []byte) error {
 	cb := c.s.onSave
 	c.s.mu.Unlock()
 	if cb != nil && err == nil {
-		cb(stage)
+		name, _, _ := strings.Cut(stage, "/")
+		cb(name)
 	}
 	return err
 }

@@ -41,9 +41,9 @@ type Netlist struct {
 // uploaded netlist), the folding number, the method, and the engine
 // knobs. The zero knobs select the cheapest configuration, exactly
 // like a zero circuitfold.Options. Specs marshal deterministically,
-// and Hash is the content address under which the job's checkpoints
-// are stored: resubmitting an identical spec resumes rather than
-// recomputes.
+// and Hash names the job's namespace in the store, which holds its
+// final snapshot: resubmitting an identical spec to a restarted daemon
+// is served from it rather than recomputed.
 type Spec struct {
 	// Generator names a built-in benchmark circuit (circuitfold.
 	// Benchmarks). Exactly one of Generator and Netlist must be set.
@@ -172,8 +172,9 @@ func (s *Spec) Options() circuitfold.Options {
 
 // Hash is the spec's content address: a hex SHA-256 of its canonical
 // JSON encoding, with the method default applied so "functional" and
-// "" collide (they are the same job). Checkpoints live under this key,
-// which is what makes resubmission resume.
+// "" collide (they are the same job). The job's final snapshot,
+// profile and flight record live under this key; its stage blobs live
+// under their content addresses in the store-wide stage namespace.
 func (s *Spec) Hash() string {
 	c := *s
 	c.Method = c.EffectiveMethod()

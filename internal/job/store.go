@@ -20,10 +20,16 @@ import (
 // storage trouble from fold trouble test errors.Is(err, ErrStore).
 var ErrStore = errors.New("job: store fault")
 
-// Store is a checkpoint store partitioned by job key (a Spec.Hash):
-// each key names an independent pipeline.Checkpoint namespace holding
-// that job's per-stage snapshots. Implementations must be safe for
-// concurrent use across keys and within one key.
+// Store is a checkpoint store partitioned into namespaces, each an
+// independent pipeline.Checkpoint. The runner uses two kinds:
+//   - stageNamespace, one for the whole store, holds every fold's stage
+//     blobs under their content addresses ("<stage>/<hex digest>", see
+//     pipeline.Addresses), so folds that agree up to a stage share it;
+//   - one per job key (a Spec.Hash) holds that job's final snapshot,
+//     profile and flight record.
+//
+// Implementations must be safe for concurrent use across namespaces
+// and within one.
 type Store interface {
 	// Checkpoint returns the namespace for key, creating it on first
 	// use.
@@ -31,6 +37,10 @@ type Store interface {
 	// Delete drops every snapshot saved under key.
 	Delete(key string) error
 }
+
+// stageNamespace is the store-wide namespace of stage blobs. A job key
+// is 64 hex digits, so it never collides with a job's namespace.
+const stageNamespace = "stages"
 
 // MemStore is an in-process Store: fast, and gone with the process.
 // Suitable for tests and for daemons that only want intra-lifetime
@@ -97,11 +107,12 @@ const storeMagic = "CFS1"
 // on disk for forensics and ignored by Load.
 const corruptSuffix = ".corrupt"
 
-// FileStore is a Store on a directory: one subdirectory per job key,
-// one file per stage. Saves are atomic and durable — checksummed frame
-// into a temp file, fsync, rename, fsync of the parent directory — so
-// a crash or power loss mid-save never leaves a truncated or torn
-// snapshot: at worst the stage is absent and re-runs. Loads verify the
+// FileStore is a Store on a directory: one subdirectory per namespace
+// (the stage namespace and each job key), one file per blob. Saves are
+// atomic and durable — checksummed frame into a temp file, fsync,
+// rename, fsync of the parent directory — so a crash or power loss
+// mid-save never leaves a truncated or torn snapshot: at worst the
+// blob is absent and its stage re-runs. Loads verify the
 // checksum and quarantine corrupt blobs instead of returning them.
 // This is the durable store behind a daemon that must survive
 // restarts.
@@ -135,9 +146,9 @@ func (s *FileStore) Delete(key string) error {
 	return os.RemoveAll(filepath.Join(s.dir, encodeName(key)))
 }
 
-// fileCheckpoint stores each stage snapshot as one file. Stage names
-// may contain separators (PrefixCheckpoint namespacing produces
-// "functional/schedule"), so they are path-escaped into flat names.
+// fileCheckpoint stores each blob as one file. Keys may contain
+// separators (stage addresses are "<stage>/<hex digest>"), so they are
+// path-escaped into flat names.
 type fileCheckpoint struct {
 	dir string
 	s   *FileStore

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"circuitfold/internal/core"
@@ -81,13 +82,14 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreAsPipelineCheckpoint(t *testing.T) {
 	for name, mk := range stores(t) {
 		t.Run(name, func(t *testing.T) {
-			var ck pipeline.Checkpoint = mk().Checkpoint("k")
-			ck = pipeline.PrefixCheckpoint(ck, "functional")
-			if err := ck.Save("encode", []byte("x")); err != nil {
+			var ck pipeline.Checkpoint = mk().Checkpoint(stageNamespace)
+			key := pipeline.Addresses("functional", "in", pipeline.Budget{},
+				[]pipeline.Stage{{Name: pipeline.StageTFF}})[0]
+			if err := ck.Save(key, []byte("x")); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := ck.Load("encode"); !ok || string(got) != "x" {
-				t.Fatalf("prefixed load = %q, %v", got, ok)
+			if got, ok := ck.Load(key); !ok || string(got) != "x" {
+				t.Fatalf("stage address load = %q, %v", got, ok)
 			}
 		})
 	}
@@ -162,8 +164,8 @@ func TestFileStoreConcurrentSaves(t *testing.T) {
 
 // TestStoreStaleMachineBlobReruns plants a version-1 tff checkpoint —
 // the cube-cover machine encoding an older build left in its store —
-// and checks that the fold refuses it, re-runs the stage, and returns
-// the cold fold's result.
+// under the fold's tff address, and checks that the fold refuses it,
+// re-runs the stage, and returns the cold fold's result.
 func TestStoreStaleMachineBlobReruns(t *testing.T) {
 	g := gen.MustBuild("adder3")
 	const T = 3
@@ -171,6 +173,21 @@ func TestStoreStaleMachineBlobReruns(t *testing.T) {
 	cold, err := core.FunctionalFold(g, T, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The tff address, as a fold over a store records it.
+	rec := NewMemStore()
+	opt.Checkpoint = rec.Checkpoint(stageNamespace)
+	if _, err := core.FunctionalFold(g, T, opt); err != nil {
+		t.Fatal(err)
+	}
+	tffKey := ""
+	for key := range rec.m[stageNamespace].m {
+		if strings.HasPrefix(key, pipeline.StageTFF+"/") {
+			tffKey = key
+		}
+	}
+	if tffKey == "" {
+		t.Fatal("fold saved no tff blob")
 	}
 
 	sched, err := core.PinSchedule(g, T, core.ScheduleOptions{})
@@ -202,9 +219,8 @@ func TestStoreStaleMachineBlobReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := NewMemStore()
-	ck := store.Checkpoint("stale")
-	if err := ck.Save(pipeline.StageTFF, v1); err != nil {
+	ck := NewMemStore().Checkpoint(stageNamespace)
+	if err := ck.Save(tffKey, v1); err != nil {
 		t.Fatal(err)
 	}
 	opt.Checkpoint = ck
@@ -220,7 +236,7 @@ func TestStoreStaleMachineBlobReruns(t *testing.T) {
 	if !reflect.DeepEqual(stripReport(got), stripReport(cold)) {
 		t.Error("fold over a stale tff blob differs from the cold fold")
 	}
-	if data, ok := ck.Load(pipeline.StageTFF); !ok || bytes.Equal(data, v1) {
+	if data, ok := ck.Load(tffKey); !ok || bytes.Equal(data, v1) {
 		t.Error("re-run tff stage did not replace the stale blob")
 	}
 }

@@ -63,10 +63,24 @@ func checkpointedStages(out *[]string, ran *[]string) []Stage {
 	return []Stage{mk("alpha"), mk("beta")}
 }
 
+// testInput is the run input every checkpointed test run carries.
+const testInput = "in"
+
+// keyOf is the checkpoint key of stage name in a pipeline "p" run over
+// testInput with no budget.
+func keyOf(stages []Stage, name string) string {
+	for i, k := range Addresses("p", testInput, Budget{}, stages) {
+		if stages[i].Name == name {
+			return k
+		}
+	}
+	panic("no stage " + name)
+}
+
 func TestExecuteSnapshotsCompletedStages(t *testing.T) {
 	ck := newMapCheckpoint()
 	run := NewRun(nil, Budget{})
-	run.SetCheckpoint(ck)
+	run.SetCheckpoint(ck, testInput)
 	var out, ran []string
 	rep, err := Execute(run, "p", checkpointedStages(&out, &ran)...)
 	if err != nil {
@@ -76,7 +90,7 @@ func TestExecuteSnapshotsCompletedStages(t *testing.T) {
 		t.Fatalf("ran %v, want both stages", ran)
 	}
 	for _, st := range []string{"alpha", "beta"} {
-		if d, ok := ck.Load(st); !ok || string(d) != st+"-artifact" {
+		if d, ok := ck.Load(keyOf(checkpointedStages(&out, &ran), st)); !ok || string(d) != st+"-artifact" {
 			t.Errorf("checkpoint for %s = %q, %v", st, d, ok)
 		}
 	}
@@ -89,12 +103,13 @@ func TestExecuteSnapshotsCompletedStages(t *testing.T) {
 
 func TestExecuteRestoresFromCheckpoint(t *testing.T) {
 	ck := newMapCheckpoint()
-	ck.m["alpha"] = []byte("alpha-artifact")
+	var out, ran []string
+	stages := checkpointedStages(&out, &ran)
+	ck.m[keyOf(stages, "alpha")] = []byte("alpha-artifact")
 
 	run := NewRun(nil, Budget{})
-	run.SetCheckpoint(ck)
-	var out, ran []string
-	rep, err := Execute(run, "p", checkpointedStages(&out, &ran)...)
+	run.SetCheckpoint(ck, testInput)
+	rep, err := Execute(run, "p", stages...)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -114,12 +129,13 @@ func TestExecuteRestoresFromCheckpoint(t *testing.T) {
 
 func TestExecuteCorruptCheckpointFallsBackToRunning(t *testing.T) {
 	ck := newMapCheckpoint()
-	ck.m["alpha"] = []byte("garbage")
+	var out, ran []string
+	stages := checkpointedStages(&out, &ran)
+	ck.m[keyOf(stages, "alpha")] = []byte("garbage")
 
 	run := NewRun(nil, Budget{})
-	run.SetCheckpoint(ck)
-	var out, ran []string
-	rep, err := Execute(run, "p", checkpointedStages(&out, &ran)...)
+	run.SetCheckpoint(ck, testInput)
+	rep, err := Execute(run, "p", stages...)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -130,23 +146,24 @@ func TestExecuteCorruptCheckpointFallsBackToRunning(t *testing.T) {
 		t.Error("alpha marked resumed after corrupt restore")
 	}
 	// The re-run overwrote the corrupt artifact.
-	if d, _ := ck.Load("alpha"); string(d) != "alpha-artifact" {
+	if d, _ := ck.Load(keyOf(stages, "alpha")); string(d) != "alpha-artifact" {
 		t.Errorf("corrupt artifact not overwritten: %q", d)
 	}
 }
 
 func TestExecutePanickingRestoreFallsBack(t *testing.T) {
 	ck := newMapCheckpoint()
-	ck.m["boom"] = []byte("x")
 	ran := false
-	run := NewRun(nil, Budget{})
-	run.SetCheckpoint(ck)
-	_, err := Execute(run, "p", Stage{
+	boom := Stage{
 		Name:     "boom",
 		Run:      func(*StageStats) error { ran = true; return nil },
 		Restore:  func([]byte, *StageStats) error { panic("bad bytes") },
 		Snapshot: func() ([]byte, error) { return []byte("x"), nil },
-	})
+	}
+	ck.m[keyOf([]Stage{boom}, "boom")] = []byte("x")
+	run := NewRun(nil, Budget{})
+	run.SetCheckpoint(ck, testInput)
+	_, err := Execute(run, "p", boom)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -157,18 +174,19 @@ func TestExecutePanickingRestoreFallsBack(t *testing.T) {
 
 func TestExecuteSaveErrorDoesNotFailStage(t *testing.T) {
 	ck := newMapCheckpoint()
-	ck.errs = map[string]error{"alpha": errors.New("disk full")}
-	run := NewRun(nil, Budget{})
-	run.SetCheckpoint(ck)
 	var out, ran []string
-	_, err := Execute(run, "p", checkpointedStages(&out, &ran)...)
+	stages := checkpointedStages(&out, &ran)
+	ck.errs = map[string]error{keyOf(stages, "alpha"): errors.New("disk full")}
+	run := NewRun(nil, Budget{})
+	run.SetCheckpoint(ck, testInput)
+	_, err := Execute(run, "p", stages...)
 	if err != nil {
 		t.Fatalf("Execute: %v (save errors must be best-effort)", err)
 	}
-	if _, ok := ck.Load("alpha"); ok {
+	if _, ok := ck.Load(keyOf(stages, "alpha")); ok {
 		t.Error("failed save left an artifact")
 	}
-	if _, ok := ck.Load("beta"); !ok {
+	if _, ok := ck.Load(keyOf(stages, "beta")); !ok {
 		t.Error("beta save should still succeed")
 	}
 }
@@ -176,7 +194,7 @@ func TestExecuteSaveErrorDoesNotFailStage(t *testing.T) {
 func TestExecuteFailedStageNotSnapshotted(t *testing.T) {
 	ck := newMapCheckpoint()
 	run := NewRun(nil, Budget{})
-	run.SetCheckpoint(ck)
+	run.SetCheckpoint(ck, testInput)
 	_, err := Execute(run, "p", Stage{
 		Name:     "fail",
 		Run:      func(*StageStats) error { return errors.New("nope") },
@@ -186,25 +204,46 @@ func TestExecuteFailedStageNotSnapshotted(t *testing.T) {
 	if err == nil {
 		t.Fatal("want stage error")
 	}
-	if _, ok := ck.Load("fail"); ok {
-		t.Error("failed stage was snapshotted")
+	if len(ck.m) != 0 {
+		t.Errorf("failed stage was snapshotted: %d artifacts", len(ck.m))
 	}
 }
 
-func TestPrefixCheckpoint(t *testing.T) {
-	ck := newMapCheckpoint()
-	p := PrefixCheckpoint(ck, "functional")
-	if err := p.Save("tff", []byte("m")); err != nil {
-		t.Fatal(err)
+// TestAddressesChain: a stage's address changes exactly when the run's
+// input, budget or pipeline name, its own Reads, or an earlier stage's
+// Reads change; a later stage's Reads leave it alone. Distinct pipeline
+// names (the rungs of a degradation ladder) never share an address.
+func TestAddressesChain(t *testing.T) {
+	stages := func(reads ...string) []Stage {
+		out := make([]Stage, len(reads))
+		for i, r := range reads {
+			out[i] = Stage{Name: string(rune('a' + i)), Reads: r}
+		}
+		return out
 	}
-	if d, ok := ck.Load("functional/tff"); !ok || string(d) != "m" {
-		t.Errorf("prefixed key missing: %q %v", d, ok)
+	base := Addresses("p", "in", Budget{}, stages("x", "y", "z"))
+	for i, k := range base {
+		if want := string(rune('a'+i)) + "/"; len(k) != len(want)+64 || k[:len(want)] != want {
+			t.Errorf("address %d = %q, want %s<64 hex digits>", i, k, want)
+		}
 	}
-	if d, ok := p.Load("tff"); !ok || string(d) != "m" {
-		t.Errorf("prefixed load: %q %v", d, ok)
-	}
-	if PrefixCheckpoint(nil, "x") != nil {
-		t.Error("PrefixCheckpoint(nil) must stay nil")
+	for _, tc := range []struct {
+		name  string
+		keys  []string
+		first int // first stage whose address must change
+	}{
+		{"pipeline", Addresses("q", "in", Budget{}, stages("x", "y", "z")), 0},
+		{"input", Addresses("p", "in2", Budget{}, stages("x", "y", "z")), 0},
+		{"budget", Addresses("p", "in", Budget{MaxStates: 1}, stages("x", "y", "z")), 0},
+		{"reads0", Addresses("p", "in", Budget{}, stages("x2", "y", "z")), 0},
+		{"reads1", Addresses("p", "in", Budget{}, stages("x", "y2", "z")), 1},
+		{"reads2", Addresses("p", "in", Budget{}, stages("x", "y", "z2")), 2},
+	} {
+		for i := range base {
+			if changed := tc.keys[i] != base[i]; changed != (i >= tc.first) {
+				t.Errorf("%s: stage %d changed=%v, want %v", tc.name, i, changed, i >= tc.first)
+			}
+		}
 	}
 }
 

@@ -144,6 +144,7 @@ type Run struct {
 	liveNodes *obs.Gauge               // resolved obs.MBDDLiveNodes, nil when unobserved
 
 	checkpoint Checkpoint // per-stage artifact store, nil when not checkpointing
+	input      string     // what the run folds, the root of its stage addresses
 }
 
 // NewRun binds a context and budget into a Run. ctx may be nil.
@@ -238,13 +239,16 @@ func (r *Run) resetBDDPeak() {
 	}
 }
 
-// SetCheckpoint attaches a per-stage artifact store to the run. Stages
-// that declare Snapshot/Restore hooks save their outputs through it and
-// skip re-running when a saved artifact exists. Nil (the default)
-// disables checkpointing.
-func (r *Run) SetCheckpoint(ck Checkpoint) {
+// SetCheckpoint attaches a per-stage artifact store to the run. input
+// names what the run's pipelines fold (for a fold: the circuit's
+// structural hash and T); with the pipeline name and the run's budget it
+// roots the stage addresses (see Addresses). Stages that declare
+// Snapshot/Restore hooks save their outputs through ck under their
+// addresses and skip re-running when a saved artifact exists. Nil (the
+// default) disables checkpointing.
+func (r *Run) SetCheckpoint(ck Checkpoint, input string) {
 	if r != nil {
-		r.checkpoint = ck
+		r.checkpoint, r.input = ck, input
 	}
 }
 
@@ -378,16 +382,24 @@ func (r *Run) ConflictLimit(def int64) int64 {
 //
 // Snapshot and Restore are the optional checkpoint hooks. When the Run
 // carries a Checkpoint, Execute calls Snapshot after the stage
-// completes and saves the bytes under the stage name; on a later run
-// over the same Checkpoint, Execute calls Restore with the saved bytes
-// instead of Run, marking the stage Resumed in its StageStats. Restore
-// must leave the pipeline's closure state exactly as a successful Run
-// would have (the whole point is that downstream stages cannot tell the
-// difference); a Restore that fails — corrupt or version-skewed bytes —
-// falls back to running the stage normally.
+// completes and saves the bytes under the stage's address (see
+// Addresses); on a later run whose stage has the same address, Execute
+// calls Restore with the saved bytes instead of Run, marking the stage
+// Resumed in its StageStats. Restore must leave the pipeline's closure
+// state exactly as a successful Run would have (the whole point is that
+// downstream stages cannot tell the difference); a Restore that fails —
+// corrupt or version-skewed bytes — falls back to running the stage
+// normally.
 type Stage struct {
 	Name string
-	Run  func(*StageStats) error
+	// Reads is the canonical text of the options the stage reads
+	// besides the previous stage's output: everything that can change
+	// its result and is not already in the run's input or budget. It
+	// goes into the stage's address, so it must be deterministic and
+	// must leave out knobs that cannot change the result, such as
+	// worker counts.
+	Reads string
+	Run   func(*StageStats) error
 
 	// Snapshot serializes the stage's output artifact.
 	Snapshot func() ([]byte, error)
@@ -420,6 +432,10 @@ func Execute(run *Run, name string, stages ...Stage) (*Report, error) {
 		root = run.Observer().Span(name, "pipeline")
 	}
 	defer run.SetSpan(prev)
+	keys := make([]string, len(stages))
+	if run.Checkpoint() != nil {
+		keys = Addresses(name, run.input, run.Budget(), stages)
+	}
 	fail := func(stage string, err error) (*Report, error) {
 		rep.Total = run.Elapsed()
 		rep.Err = err.Error()
@@ -427,7 +443,7 @@ func Execute(run *Run, name string, stages ...Stage) (*Report, error) {
 		root.End()
 		return rep, &Error{Pipeline: name, Stage: stage, Report: rep, Err: err}
 	}
-	for _, st := range stages {
+	for i, st := range stages {
 		ss := StageStats{
 			Name: st.Name, Start: run.Elapsed(),
 			AndsIn: -1, AndsOut: -1, BDDNodes: -1, StatesIn: -1, StatesOut: -1,
@@ -440,7 +456,7 @@ func Execute(run *Run, name string, stages ...Stage) (*Report, error) {
 		sp := root.Child(st.Name, "stage")
 		run.SetSpan(sp)
 		run.resetBDDPeak()
-		err := runStage(run, st, &ss)
+		err := runStage(run, st, keys[i], &ss)
 		if ss.Resumed && err == nil {
 			// Restored from a checkpoint: record the (near-zero) restore
 			// time and move on without snapshotting again.
@@ -452,7 +468,7 @@ func Execute(run *Run, name string, stages ...Stage) (*Report, error) {
 			continue
 		}
 		if err == nil {
-			saveStage(run, st, sp)
+			saveStage(run, st, keys[i], sp)
 		}
 		run.SetSpan(prev)
 		ss.Duration = run.Elapsed() - ss.Start
@@ -486,12 +502,12 @@ func Execute(run *Run, name string, stages ...Stage) (*Report, error) {
 // keep their identity, everything else becomes an *InternalError with
 // the stage name and stack, counted under obs.MFoldPanics.
 //
-// When the run carries a Checkpoint holding an artifact for this stage
-// and the stage can Restore, restoration is attempted first; a failed
-// restore (corrupt bytes, version skew, or a panic in Restore) is
-// swallowed and the stage runs normally, so a bad checkpoint degrades
-// to a cold run instead of failing the fold.
-func runStage(run *Run, st Stage, ss *StageStats) (err error) {
+// When the run carries a Checkpoint holding an artifact under the
+// stage's address key and the stage can Restore, restoration is
+// attempted first; a failed restore (corrupt bytes, version skew, or a
+// panic in Restore) is swallowed and the stage runs normally, so a bad
+// checkpoint degrades to a cold run instead of failing the fold.
+func runStage(run *Run, st Stage, key string, ss *StageStats) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = AsInternal(st.Name, v)
@@ -501,7 +517,7 @@ func runStage(run *Run, st Stage, ss *StageStats) (err error) {
 		}
 	}()
 	if ck := run.Checkpoint(); ck != nil && st.Restore != nil {
-		if data, ok := ck.Load(st.Name); ok {
+		if data, ok := ck.Load(key); ok {
 			if restoreStage(st, data, ss) == nil {
 				ss.Resumed = true
 				return nil
@@ -523,10 +539,10 @@ func restoreStage(st Stage, data []byte, ss *StageStats) (err error) {
 	return st.Restore(data, ss)
 }
 
-// saveStage snapshots a completed stage into the run's checkpoint.
-// Best-effort by contract: snapshot or save failures are recorded on
-// the stage's span and otherwise ignored.
-func saveStage(run *Run, st Stage, sp *obs.Span) {
+// saveStage snapshots a completed stage into the run's checkpoint under
+// its address key. Best-effort by contract: snapshot or save failures
+// are recorded on the stage's span and otherwise ignored.
+func saveStage(run *Run, st Stage, key string, sp *obs.Span) {
 	ck := run.Checkpoint()
 	if ck == nil || st.Snapshot == nil {
 		return
@@ -538,7 +554,7 @@ func saveStage(run *Run, st Stage, sp *obs.Span) {
 	}()
 	data, err := st.Snapshot()
 	if err == nil {
-		err = ck.Save(st.Name, data)
+		err = ck.Save(key, data)
 	}
 	if err != nil {
 		sp.SetStr("checkpoint_err", err.Error())

@@ -172,10 +172,6 @@ func RunResilient(g *Circuit, T int, opt ResilientOptions) (*ResilientResult, er
 		method := m
 		ro := opt.Options
 		ro.Observer = o
-		// Each rung checkpoints under its own namespace: a resumed
-		// resilient fold re-enters the same rung's pipeline at the last
-		// completed stage without reading another method's snapshots.
-		ro.Checkpoint = PrefixCheckpoint(opt.Checkpoint, string(method))
 		if b, ok := opt.RungBudgets[method]; ok {
 			ro.Budget = b
 			ro.Timeout = 0
