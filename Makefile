@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test foldbench-test verify race vet faults bench bench-go bench-bdd-smoke bench-fold-smoke bench-throughput-smoke bench-compare serve-smoke fuzz-smoke chaos trace clean
+.PHONY: build test foldbench-test verify race vet faults table3 bench bench-go bench-bdd-smoke bench-fold-smoke bench-throughput-smoke bench-compare serve-smoke fuzz-smoke chaos trace clean
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,14 @@ fuzz-smoke:
 # CHAOS_DIR keeps the journal and store on disk for CI artifacts.
 chaos:
 	CHAOS_ROUNDS=20 $(GO) test -race -run 'Chaos' -v -timeout 600s ./internal/job/
+
+# table3 regenerates the paper's Table III and Figure 7 over every
+# circuit and folding number: each row folds its 9 configurations as
+# job specs on an in-process fold runner. It runs for many minutes (the
+# minimize configurations of apex2 and i3 spend their whole MeMin
+# conflict budget), so verify leaves it out.
+table3:
+	$(GO) run ./cmd/experiments -table 3 -fig 7
 
 # bench emits BENCH_sweep.json (ns/op, SAT calls, merges, conflicts for
 # the sweeping configurations), BENCH_pipeline.json (per-stage fold

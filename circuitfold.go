@@ -40,7 +40,6 @@ package circuitfold
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -438,13 +437,6 @@ func ReadAAG(r io.Reader) (*Sequential, error) { return cio.ReadAAG(r) }
 // WriteAAG writes a sequential circuit as ASCII AIGER.
 func WriteAAG(w io.Writer, c *Sequential) error { return cio.WriteAAG(w, c) }
 
-// FoldedIOCycles computes the I/O-cycle count of a folded execution over
-// a pins-wide link (TDM ratio 1), per the Section VI latency model.
-func FoldedIOCycles(r *Result, pins int) (int, error) {
-	n, _, err := tdm.FoldedCycles(r, pins)
-	return n, err
-}
-
 // UnfoldedIOCycles is the latency baseline: stream all inputs, evaluate,
 // stream all outputs.
 func UnfoldedIOCycles(nIn, nOut, pins int) int {
@@ -479,14 +471,6 @@ func WriteKISS(w io.Writer, m *Machine) error { return fsm.WriteKISS(w, m) }
 // ReadKISS parses a KISS2 machine.
 func ReadKISS(r io.Reader) (*Machine, error) { return fsm.ReadKISS(r) }
 
-// MinimizeMachine runs SAT-based exact state minimization (MeMin) with
-// default bounds.
-func MinimizeMachine(m *Machine) (min *Machine, err error) {
-	defer pipeline.RecoverTo(&err, "circuitfold.MinimizeMachine")
-	min, _, err = fsm.Minimize(m, fsm.DefaultMinimizeOptions())
-	return min, err
-}
-
 // VerifyFast is the word-parallel verifier: rounds*64 random vectors per
 // call, much faster than Verify on wide circuits.
 func VerifyFast(g *Circuit, r *Result, rounds int) (err error) {
@@ -503,29 +487,6 @@ func WriteVerilog(w io.Writer, c *Sequential, module string) error {
 // WriteVCD dumps a waveform of the circuit simulated over the stream.
 func WriteVCD(w io.Writer, c *Sequential, stream [][]bool, module string) error {
 	return cio.WriteVCD(w, c, stream, module)
-}
-
-// WriteMappedBLIF maps g onto k-input LUTs and writes the mapped netlist
-// as BLIF (.names tables, one per LUT).
-func WriteMappedBLIF(w io.Writer, g *Circuit, k int, model string) error {
-	opt := lutmap.DefaultOptions()
-	opt.K = k
-	m, err := lutmap.Map(g, opt)
-	if err != nil {
-		return err
-	}
-	return lutmap.WriteMappedBLIF(w, g, m, model)
-}
-
-// PartitionKWay splits a circuit across k FPGAs by recursive FM
-// bisection, returning per-cell part labels and the spanning-net count.
-func PartitionKWay(g *Circuit, k int, opt PartitionOptions) (parts []int, cut int, err error) {
-	if g.NumNodes() <= 1 {
-		return nil, 0, fmt.Errorf("circuitfold: empty circuit")
-	}
-	h, _ := part.FromAIG(g)
-	parts, cut = part.KWay(h, k, opt)
-	return parts, cut, nil
 }
 
 // Resynthesize maps g onto k-input LUTs and rebuilds each LUT from an

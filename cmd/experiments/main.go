@@ -9,7 +9,7 @@
 //	experiments -table 2
 //	experiments -table simple
 //	experiments -case i10
-//	experiments -table 3 [-circuits e64,i2] [-frames 16,8] [-budget 20s]
+//	experiments -table 3 [-circuits e64,i2] [-frames 16,8]
 //	experiments -fig 7
 //	experiments -all
 package main
@@ -20,7 +20,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"circuitfold/internal/exp"
 )
@@ -33,14 +32,9 @@ func main() {
 		all      = flag.Bool("all", false, "run every experiment")
 		circuits = flag.String("circuits", "", "comma-separated circuit subset for table 3 / fig 7")
 		frames   = flag.String("frames", "", "comma-separated folding numbers for table 3 / fig 7")
-		budget   = flag.Duration("budget", 20*time.Second, "per-configuration budget for the functional method")
 		pins     = flag.Int("pins", exp.PinLimit, "I/O pin limit for tables 2 and simple")
 	)
 	flag.Parse()
-
-	opt := exp.DefaultTable3Options()
-	opt.Timeout = *budget
-	opt.MinimizeTimeout = *budget / 2
 
 	names := splitList(*circuits)
 	var frameList []int
@@ -96,7 +90,7 @@ func main() {
 	if *all || *table == "3" || *fig == "7" {
 		ran = true
 		fmt.Println("== Table III: structural vs functional circuit folding ==")
-		rows, err := exp.Table3(names, frameList, opt)
+		rows, err := exp.Table3(names, frameList, exp.Table3Options{Progress: os.Stderr})
 		if err != nil {
 			fail(err)
 		}
@@ -104,11 +98,7 @@ func main() {
 		fmt.Println()
 		if *all || *fig == "7" {
 			fmt.Println("== Figure 7: circuit size comparison (CSV) ==")
-			pts, err := exp.Figure7(rows)
-			if err != nil {
-				fail(err)
-			}
-			exp.FprintFigure7(os.Stdout, pts)
+			exp.FprintFigure7(os.Stdout, exp.Figure7(rows))
 			fmt.Println()
 		}
 	}

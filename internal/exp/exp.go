@@ -2,7 +2,7 @@
 // (benchmark statistics), Table II (structural folding under a 200-pin
 // cap), the simple-baseline comparison, the i10 latency case study,
 // Table III (structural vs functional methods) and Figure 7 (folded vs
-// original circuit sizes). Both cmd/experiments and the top-level
+// original circuit sizes). Both cmd/experiments and the package's
 // benchmarks drive these entry points.
 package exp
 

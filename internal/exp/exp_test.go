@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestMinFrames(t *testing.T) {
@@ -41,18 +40,20 @@ func TestTable2FramesMatchPaper(t *testing.T) {
 }
 
 func TestConfigStrings(t *testing.T) {
-	cases := []struct {
-		cfg  functionalConfig
-		want string
-	}{
-		{functionalConfig{true, true, 0}, "r/m/nat"},
-		{functionalConfig{true, false, 1}, "r/nm/1hot"},
-		{functionalConfig{false, true, 1}, "nr/m/1hot"},
-		{functionalConfig{false, false, 0}, "nr/nm/nat"},
+	want := []string{
+		"r/nm/nat", "r/nm/1hot", "r/m/nat", "r/m/1hot",
+		"nr/nm/nat", "nr/nm/1hot", "nr/m/nat", "nr/m/1hot",
 	}
-	for _, c := range cases {
-		if got := c.cfg.String(); got != c.want {
-			t.Fatalf("config = %q, want %q", got, c.want)
+	specs := functionalSpecs("e64", 16)
+	if len(specs) != len(want) {
+		t.Fatalf("%d functional specs, want %d", len(specs), len(want))
+	}
+	for i, s := range specs {
+		if got := (config{spec: s}).String(); got != want[i] {
+			t.Fatalf("config %d = %q, want %q", i, got, want[i])
+		}
+		if budget := s.MaxSATConflicts; (budget != 0) != s.Minimize {
+			t.Fatalf("%s: conflict budget %d; only minimize specs take one", want[i], budget)
 		}
 	}
 }
@@ -110,9 +111,7 @@ func TestCaseStudyValues(t *testing.T) {
 }
 
 func TestTable3EntryFastCircuit(t *testing.T) {
-	opt := DefaultTable3Options()
-	opt.Timeout = 10 * time.Second
-	row, err := Table3Entry("e64", 16, opt)
+	row, err := Table3Entry("e64", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +132,7 @@ func TestTable3EntryFastCircuit(t *testing.T) {
 	if !strings.Contains(buf.String(), "e64") {
 		t.Fatal("render missing circuit")
 	}
-	pts, err := Figure7([]Table3Row{row})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := Figure7([]Table3Row{row})
 	if len(pts) != 2 {
 		t.Fatalf("figure 7 points = %d, want 2", len(pts))
 	}
@@ -148,8 +144,7 @@ func TestTable3EntryFastCircuit(t *testing.T) {
 }
 
 func TestTable3Adder64MatchesPaperStates(t *testing.T) {
-	opt := DefaultTable3Options()
-	row, err := Table3Entry("64-adder", 16, opt)
+	row, err := Table3Entry("64-adder", 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,16 +35,10 @@ func TestFullTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	FprintCaseStudy(os.Stdout, cs)
-	opt := DefaultTable3Options()
-	opt.Progress = os.Stdout
-	rows3, err := Table3(nil, nil, opt)
+	rows3, err := Table3(nil, nil, Table3Options{Progress: os.Stdout})
 	if err != nil {
 		t.Fatal(err)
 	}
 	FprintTable3(os.Stdout, rows3)
-	pts, err := Figure7(rows3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	FprintFigure7(os.Stdout, pts)
+	FprintFigure7(os.Stdout, Figure7(rows3))
 }

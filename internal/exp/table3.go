@@ -1,13 +1,16 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"strings"
 	"time"
 
 	"circuitfold/internal/core"
-	"circuitfold/internal/fsm"
 	"circuitfold/internal/gen"
+	"circuitfold/internal/job"
 	"circuitfold/internal/pipeline"
 )
 
@@ -22,18 +25,21 @@ var Table3Circuits = []string{
 // the paper.
 var Table3Frames = []int{16, 8, 4}
 
-// workersForExp parallelizes the harness's TFF runs with the same
-// worker cap as core.DefaultFunctionalOptions; the folded machine is
-// bit-identical for every worker count, so the tables don't change.
-var workersForExp = core.DefaultFunctionalOptions().Workers
+// minimizeConflicts is the SAT-conflict budget of every minimize
+// configuration, the only work bound Table III sets. As a spec field it
+// is part of the fold key, so a configuration minimizes, or fails, the
+// same way every run. MeMin on apex2 and on i3 at T=16 runs out of it,
+// like the paper's 300-second timeouts.
+const minimizeConflicts = 50000
 
 // Table3Row is one line of Table III: the structural and best functional
 // results for one (circuit, T) pair. OK is false when every functional
-// configuration hit its budget — the paper's "-" entries.
+// configuration failed — the paper's "-" entries.
 type Table3Row struct {
-	Name   string
-	Frames int
-	In     int
+	Name     string
+	Frames   int
+	In       int
+	OrigLUTs int // the optimized original's LUTs, Figure 7's baseline
 
 	SOut, SGates, SLUTs, SFF int
 
@@ -44,176 +50,195 @@ type Table3Row struct {
 	FGates, FLUTs, FFF int
 	LUTRed, FFRed      float64
 	Config             string
-	Runtime            time.Duration
+	// Runtime is the winner's schedule, tff and (when it minimized)
+	// minimize time; a stage restored from its encoding twin's
+	// checkpoint counts the twin's run of it.
+	Runtime time.Duration
 	// Trace is the winning functional configuration's per-stage
-	// pipeline trace (schedule, tff; minimize when it was applied).
+	// pipeline trace.
 	Trace *pipeline.Report
 }
 
 // StatesString renders the "#state" column, e.g. "32/2" or "474/-".
 func (r Table3Row) StatesString() string { return statesString(r.States, r.StatesMin) }
 
-// Table3Options bounds the per-configuration functional folding runs.
+// Table3Options configures Table3.
 type Table3Options struct {
-	// Timeout bounds scheduling+TFF per configuration (paper: 300 s).
-	Timeout time.Duration
-	// MinimizeTimeout bounds MeMin per configuration (paper: 300 s).
-	MinimizeTimeout time.Duration
-	// MaxStates aborts TFF beyond this many states.
-	MaxStates int
 	// Progress, when non-nil, receives one line per completed entry.
 	Progress io.Writer
 }
 
-// DefaultTable3Options keeps the full sweep tractable on a laptop while
-// reproducing the paper's timeout behavior qualitatively.
-func DefaultTable3Options() Table3Options {
-	return Table3Options{Timeout: 20 * time.Second, MinimizeTimeout: 10 * time.Second, MaxStates: 4000}
+// config is one Table III fold: its spec and its result, or the error
+// it failed with.
+type config struct {
+	spec job.Spec
+	res  *core.Result
+	err  string
 }
 
-// functionalConfigs enumerates the configuration space of Table III's
-// config column: input reordering, state minimization, encoding.
-type functionalConfig struct {
-	reorder  bool
-	minimize bool
-	enc      core.Encoding
-}
-
-func (c functionalConfig) String() string {
+// String renders the config column, e.g. "r/m/1hot".
+func (c config) String() string {
 	s := "nr"
-	if c.reorder {
+	if c.spec.Reorder {
 		s = "r"
 	}
-	s += "/nm"
-	if c.minimize {
-		s = s[:len(s)-3] + "/m"
+	if c.spec.Minimize {
+		return s + "/m/" + c.spec.StateEnc
 	}
-	return s + "/" + c.enc.String()
+	return s + "/nm/" + c.spec.StateEnc
+}
+
+// functionalSpecs lists a row's functional configurations in the order
+// the best-of choice breaks ties in; encoding twins sit at 2k and 2k+1.
+func functionalSpecs(name string, T int) []job.Spec {
+	var specs []job.Spec
+	for _, reorder := range []bool{true, false} {
+		for _, minimize := range []bool{false, true} {
+			for _, enc := range []string{"nat", "1hot"} {
+				s := job.Spec{Generator: name, T: T, StateEnc: enc, Reorder: reorder, Minimize: minimize}
+				if minimize {
+					s.MaxSATConflicts = minimizeConflicts
+				}
+				specs = append(specs, s)
+			}
+		}
+	}
+	return specs
+}
+
+// foldRow folds a row's structural configuration and its functional
+// ones on a runner of its own (GOMAXPROCS workers, a memory store that
+// goes with it). Each 1hot spec is submitted once its nat twin is done,
+// so it restores schedule, tff and minimize from the twin's stage
+// checkpoints. When the twin failed in one of those stages, which leave
+// no checkpoint on failure, the 1hot spec takes its error unfolded.
+func foldRow(name string, T int) (config, []config, error) {
+	r := job.NewRunnerWith(job.RunnerOptions{Workers: runtime.GOMAXPROCS(0)})
+	defer r.Shutdown(context.Background())
+	sj, err := r.Submit(job.Spec{Generator: name, T: T, Method: job.MethodStructural}, job.SubmitOptions{})
+	if err != nil {
+		return config{}, nil, err
+	}
+	specs := functionalSpecs(name, T)
+	jobs := make([]*job.Job, len(specs))
+	submit := func(i int) (err error) {
+		jobs[i], err = r.Submit(specs[i], job.SubmitOptions{})
+		return err
+	}
+	for i := 0; i < len(specs); i += 2 {
+		if err := submit(i); err != nil {
+			return config{}, nil, err
+		}
+	}
+	functional := make([]config, len(specs))
+	for i := 0; i < len(specs); i += 2 {
+		functional[i] = await(jobs[i])
+		if failedBeforeEncode(functional[i].err) {
+			functional[i+1] = config{spec: specs[i+1], err: functional[i].err}
+		} else if err := submit(i + 1); err != nil {
+			return config{}, nil, err
+		}
+	}
+	for i := 1; i < len(specs); i += 2 {
+		if jobs[i] != nil {
+			functional[i] = await(jobs[i])
+		}
+	}
+	return await(sj), functional, nil
+}
+
+// await waits for j to finish and collects its outcome.
+func await(j *job.Job) config {
+	<-j.Done()
+	if st := j.Status(); st.State != job.StateDone {
+		return config{spec: j.Spec(), err: string(st.State) + ": " + st.Error}
+	}
+	res, err := j.Result()
+	if err != nil {
+		return config{spec: j.Spec(), err: err.Error()}
+	}
+	return config{spec: j.Spec(), res: res}
+}
+
+// failedBeforeEncode reports whether a functional fold's error names a
+// stage that reads no state encoding.
+func failedBeforeEncode(errText string) bool {
+	for _, st := range []string{pipeline.StageSchedule, pipeline.StageTFF, pipeline.StageMinimize} {
+		if strings.Contains(errText, "stage "+st+":") {
+			return true
+		}
+	}
+	return false
 }
 
 // Table3Entry computes one row: the structural fold plus the best
 // functional configuration (minimum LUTs, ties broken by flip-flops),
-// mirroring the per-row config annotations of the paper.
-func Table3Entry(name string, T int, opt Table3Options) (Table3Row, error) {
+// mirroring the per-row config annotations of the paper. The folds are
+// foldd's (see foldRow); the row optimizes each result and maps it to
+// 6-LUTs.
+func Table3Entry(name string, T int) (Table3Row, error) {
 	g, err := gen.Build(name)
 	if err != nil {
 		return Table3Row{}, err
 	}
-	g = optimize(g)
-	row := Table3Row{Name: name, Frames: T, StatesMin: -1}
-
-	sr, err := core.StructuralFold(g, T, core.StructuralOptions{Counter: core.Binary})
+	s, fs, err := foldRow(name, T)
 	if err != nil {
-		return row, err
+		return Table3Row{}, err
 	}
-	sFolded := sr.Seq.Transform(optimize)
-	row.In = sr.InputPins()
-	row.SOut = sr.OutputPins()
-	row.SGates = sFolded.G.NumAnds()
-	row.SLUTs = luts(sFolded.G)
-	row.SFF = sFolded.NumLatches()
-
-	// The schedule and time-frame folding are shared across the
-	// minimization and encoding variants of each reordering setting, so
-	// the 8-configuration sweep costs two TFF runs, not eight. Each
-	// reordering setting executes schedule+tff as a pipeline under one
-	// budgeted run, so the per-stage timings land in the row's trace.
-	best := -1
-	for _, reorder := range []bool{true, false} {
-		run := pipeline.NewRun(nil, pipeline.Budget{
-			Wall:      opt.Timeout,
-			BDDNodes:  4000000,
-			MaxStates: opt.MaxStates,
-		})
-		var (
-			sched   *core.Schedule
-			machine *fsm.Machine
-			states  int
-		)
-		rep, err := pipeline.Execute(run, "table3/functional",
-			pipeline.Stage{Name: pipeline.StageSchedule, Run: func(ss *pipeline.StageStats) error {
-				ss.AndsIn = g.NumAnds()
-				var serr error
-				sched, serr = core.PinScheduleRun(g, T, core.ScheduleOptions{Reorder: reorder}, run)
-				return serr
-			}},
-			pipeline.Stage{Name: pipeline.StageTFF, Run: func(ss *pipeline.StageStats) error {
-				var terr error
-				machine, states, terr = core.TimeFrameFold(g, sched, workersForExp, run)
-				ss.StatesOut = states
-				return terr
-			}},
-		)
-		if err != nil {
+	if s.res == nil {
+		return Table3Row{}, fmt.Errorf("structural fold: %s", s.err)
+	}
+	sFolded := s.res.Seq.Transform(optimize)
+	row := Table3Row{Name: name, Frames: T, In: s.res.InputPins(), OrigLUTs: luts(optimize(g)),
+		SOut: s.res.OutputPins(), SGates: sFolded.G.NumAnds(), SLUTs: luts(sFolded.G),
+		SFF: sFolded.NumLatches(), StatesMin: -1}
+	win := -1
+	for i, c := range fs {
+		if c.res == nil {
 			continue
 		}
-		if machine.NumTransitions() > 60000 {
-			// Encoding and mapping such a machine dominates the budget;
-			// treat it like the paper's timeouts.
-			continue
-		}
-		tffTime := rep.Total
-
-		type variant struct {
-			machine   *fsm.Machine
-			statesMin int
-			minimized bool
-		}
-		variants := []variant{{machine, -1, false}}
-		mstart := time.Now()
-		if mm, conflicts, merr := fsm.Minimize(machine, fsm.MinimizeOptions{
-			MaxAtoms:       2048,
-			ConflictBudget: 200000,
-			Timeout:        opt.MinimizeTimeout,
-			MaxStates:      400,
-		}); merr == nil {
-			variants = append(variants, variant{mm, mm.NumStates(), true})
-			rep.Stages = append(rep.Stages, pipeline.StageStats{
-				Name: pipeline.StageMinimize, Start: rep.Total,
-				Duration: time.Since(mstart),
-				StatesIn: states, StatesOut: mm.NumStates(),
-				AndsIn: -1, AndsOut: -1, BDDNodes: -1, SATConflicts: conflicts,
-			})
-		}
-		minTime := time.Since(mstart)
-
-		for _, v := range variants {
-			for _, enc := range []core.Encoding{core.Binary, core.OneHot} {
-				fenc := fsm.NaturalBinary
-				if enc == core.OneHot {
-					fenc = fsm.OneHotState
-				}
-				circuit, err := fsm.Encode(v.machine, fenc)
-				if err != nil {
-					continue
-				}
-				fFolded := circuit.Transform(optimize)
-				l := luts(fFolded.G)
-				ff := fFolded.NumLatches()
-				if best < 0 || l < best || (l == best && ff < row.FFF) {
-					best = l
-					row.OK = true
-					row.FOut = circuit.NumOutputs()
-					row.States = states
-					row.StatesMin = v.statesMin
-					row.FGates = fFolded.G.NumAnds()
-					row.FLUTs = l
-					row.FFF = ff
-					row.Config = functionalConfig{reorder, v.minimized, enc}.String()
-					row.Runtime = tffTime
-					if v.minimized {
-						row.Runtime += minTime
-					}
-					row.Trace = rep
-				}
-			}
+		f := c.res.Seq.Transform(optimize)
+		l, ff := luts(f.G), f.NumLatches()
+		if win < 0 || l < row.FLUTs || (l == row.FLUTs && ff < row.FFF) {
+			win = i
+			row.FOut, row.States, row.StatesMin = c.res.OutputPins(), c.res.States, c.res.StatesMin
+			row.FGates, row.FLUTs, row.FFF = f.G.NumAnds(), l, ff
 		}
 	}
-	if row.OK {
+	if win >= 0 {
+		row.OK = true
+		row.Config = fs[win].String()
+		row.Runtime = foldTime(fs[win], fs[win^1])
+		row.Trace = fs[win].res.Report
 		row.LUTRed = reduction(row.SLUTs, row.FLUTs)
 		row.FFRed = reduction(row.SFF, row.FFF)
 	}
 	return row, nil
+}
+
+// foldTime is c's schedule, tff and minimize time, counting a stage c
+// restored from a checkpoint at its twin's run of it.
+func foldTime(c, twin config) time.Duration {
+	ran := map[string]time.Duration{}
+	if twin.res != nil {
+		for _, st := range twin.res.Report.Stages {
+			if !st.Resumed {
+				ran[st.Name] = st.Duration
+			}
+		}
+	}
+	var d time.Duration
+	for _, st := range c.res.Report.Stages {
+		if st.Name == pipeline.StageEncode {
+			continue
+		}
+		if t, ok := ran[st.Name]; ok && st.Resumed {
+			d += t
+		} else {
+			d += st.Duration
+		}
+	}
+	return d
 }
 
 // Table3 runs the full structural-vs-functional comparison. Progress is
@@ -229,7 +254,7 @@ func Table3(names []string, frames []int, opt Table3Options) ([]Table3Row, error
 	for _, name := range names {
 		for _, T := range frames {
 			start := time.Now()
-			row, err := Table3Entry(name, T, opt)
+			row, err := Table3Entry(name, T)
 			if err != nil {
 				return nil, fmt.Errorf("%s T=%d: %w", name, T, err)
 			}
@@ -305,20 +330,15 @@ type Figure7Point struct {
 }
 
 // Figure7 derives the circuit-size scatter data from Table III rows.
-func Figure7(rows []Table3Row) ([]Figure7Point, error) {
+func Figure7(rows []Table3Row) []Figure7Point {
 	var pts []Figure7Point
 	for _, r := range rows {
-		g, err := gen.Build(r.Name)
-		if err != nil {
-			return nil, err
-		}
-		orig := luts(optimize(g))
-		pts = append(pts, Figure7Point{r.Name, r.Frames, "structural", orig, r.SLUTs})
+		pts = append(pts, Figure7Point{r.Name, r.Frames, "structural", r.OrigLUTs, r.SLUTs})
 		if r.OK {
-			pts = append(pts, Figure7Point{r.Name, r.Frames, "functional", orig, r.FLUTs})
+			pts = append(pts, Figure7Point{r.Name, r.Frames, "functional", r.OrigLUTs, r.FLUTs})
 		}
 	}
-	return pts, nil
+	return pts
 }
 
 // FprintFigure7 renders the scatter as CSV plus the headline counts (how

@@ -69,12 +69,16 @@ func (m *Machine) NumTransitions() int {
 }
 
 // Validate checks structural sanity and the disjointness of each state's
-// transition conditions.
+// transition conditions. Disjointness is checked against a running union
+// of the state's earlier conditions, one And and one Or per transition;
+// only an overlap scans the earlier conditions, to name the first one it
+// meets.
 func (m *Machine) Validate() error {
 	if m.Initial < 0 || m.Initial >= len(m.Trans) {
 		return fmt.Errorf("fsm: initial state %d out of range", m.Initial)
 	}
 	for s, ts := range m.Trans {
+		seen := bdd.False
 		for i, tr := range ts {
 			if len(tr.Out) != m.NumOutputs {
 				return fmt.Errorf("fsm: state %d transition %d has %d outputs, want %d",
@@ -86,11 +90,14 @@ func (m *Machine) Validate() error {
 			if tr.Cond == bdd.False {
 				return fmt.Errorf("fsm: state %d transition %d has empty condition", s, i)
 			}
-			for j := 0; j < i; j++ {
-				if m.Mgr.And(tr.Cond, ts[j].Cond) != bdd.False {
-					return fmt.Errorf("fsm: state %d transitions %d and %d overlap", s, j, i)
+			if m.Mgr.And(tr.Cond, seen) != bdd.False {
+				for j := 0; j < i; j++ {
+					if m.Mgr.And(tr.Cond, ts[j].Cond) != bdd.False {
+						return fmt.Errorf("fsm: state %d transitions %d and %d overlap", s, j, i)
+					}
 				}
 			}
+			seen = m.Mgr.Or(seen, tr.Cond)
 		}
 	}
 	return nil

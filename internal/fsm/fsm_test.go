@@ -63,6 +63,79 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNamesFirstOverlap pins the overlap error to the first
+// earlier transition the overlapping one meets, in transition order.
+func TestValidateNamesFirstOverlap(t *testing.T) {
+	mgr := bdd.New(3)
+	x0, x1, x2 := mgr.Var(0), mgr.Var(1), mgr.Var(2)
+	nx0, nx1 := mgr.Not(x0), mgr.Not(x1)
+	tr := func(c bdd.Node) Transition { return Transition{Cond: c, Out: []Tri{Zero}, Dst: 0} }
+	build := func(last bdd.Node) *Machine {
+		return &Machine{
+			Mgr: mgr, NumInputs: 3, NumOutputs: 1, Initial: 0,
+			Trans: [][]Transition{
+				{tr(bdd.True)},
+				{tr(x0), tr(mgr.And(nx0, x1)), tr(mgr.And(mgr.And(nx0, nx1), x2)), tr(last)},
+			},
+		}
+	}
+	cases := []struct {
+		last bdd.Node
+		want string
+	}{
+		// Overlaps transition 1 only.
+		{mgr.And(mgr.And(nx0, x1), x2), "fsm: state 1 transitions 1 and 3 overlap"},
+		// Overlaps transitions 1 and 2: the first is named.
+		{nx0, "fsm: state 1 transitions 1 and 3 overlap"},
+		// Overlaps transitions 0 and 2.
+		{mgr.And(nx1, x2), "fsm: state 1 transitions 0 and 3 overlap"},
+	}
+	for _, c := range cases {
+		err := build(c.last).Validate()
+		if err == nil || err.Error() != c.want {
+			t.Fatalf("Validate() = %v, want %q", err, c.want)
+		}
+	}
+	if err := build(mgr.And(mgr.And(nx0, nx1), mgr.Not(x2))).Validate(); err != nil {
+		t.Fatalf("disjoint cover rejected: %v", err)
+	}
+}
+
+// TestValidateManyTransitions validates one state with 4096
+// transitions, one per minterm of 12 inputs, each ANDed with the parity
+// of 64 more inputs ordered above them. Any two conditions share the
+// parity's 128 nodes, so checking every pair of them costs ~8.4e6 Ands
+// of ~128 steps each, minutes of CPU; the running union costs one And
+// and one Or per transition.
+func TestValidateManyTransitions(t *testing.T) {
+	const parity, bits = 64, 12
+	mgr := bdd.New(parity + bits)
+	p := bdd.False
+	for i := 0; i < parity; i++ {
+		p = mgr.Xor(p, mgr.Var(i))
+	}
+	ts := make([]Transition, 0, 1<<bits)
+	for v := 0; v < 1<<bits; v++ {
+		cube := bdd.True
+		for i := bits - 1; i >= 0; i-- {
+			lit := mgr.Var(parity + i)
+			if v>>i&1 == 0 {
+				lit = mgr.Not(lit)
+			}
+			cube = mgr.And(lit, cube)
+		}
+		ts = append(ts, Transition{Cond: mgr.And(p, cube), Dst: 0})
+	}
+	m := &Machine{Mgr: mgr, NumInputs: parity + bits, Trans: [][]Transition{ts}}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m.Trans[0] = append(m.Trans[0], Transition{Cond: mgr.Var(parity + 3), Dst: 0})
+	if err := m.Validate(); err == nil || err.Error() != "fsm: state 0 transitions 8 and 4096 overlap" {
+		t.Fatalf("Validate() = %v, want the overlap with minterm 8", err)
+	}
+}
+
 func TestSimulate(t *testing.T) {
 	m := lastBit()
 	stream := [][]bool{{true}, {false}, {true}, {true}}

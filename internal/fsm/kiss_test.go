@@ -150,6 +150,38 @@ func TestKISSMinimizeInterop(t *testing.T) {
 	covers(t, m, mm, 50, 10, 4)
 }
 
+// TestKISSMinimizeAdder3 reads the running example's serial-adder
+// machine (state = carry) from KISS and minimizes it with the default
+// bounds: its two states are incompatible, so it stays at two.
+func TestKISSMinimizeAdder3(t *testing.T) {
+	src := `
+.i 2
+.o 2
+.r A
+00 A A 00
+11 A B 00
+01 A A 10
+10 A A 10
+00 B A 10
+11 B B 10
+01 B B 00
+10 B B 00
+.e
+`
+	m, err := ReadKISS(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, _, err := Minimize(m, DefaultMinimizeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mm.NumStates() != 2 {
+		t.Fatalf("minimized to %d states, want 2", mm.NumStates())
+	}
+	covers(t, m, mm, 50, 10, 5)
+}
+
 func TestWriteDOT(t *testing.T) {
 	m := lastBit()
 	var buf bytes.Buffer
